@@ -14,12 +14,12 @@ import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 from pathlib import Path
 
 from . import codes, formats, graphs, solvers
+from ._search import mitm_kernel_min_weight
 from .errors import GenerationError, InputError, ResourceError, SparseF2Error
-from .f2 import BitMat, BitVec, mat_vec_mul
+from .f2 import BitMat
 from .reductions import (
     EvenSetConfig,
     clique_to_vectorsum,
@@ -346,11 +346,7 @@ def _verify(cfg: RunConfig, report: Report) -> int:
         states = sum(math.comb(n, w) for w in range(1, delta))
         if cfg.cap is not None and states > cfg.cap:
             raise ResourceError(f"{states} low-weight vectors exceed cap {cfg.cap}")
-        ok = True
-        for w in range(1, delta):
-            for sub_idx in combinations(range(n), w):
-                if mat_vec_mul(r, BitVec.from_support(n, sub_idx)).is_zero():
-                    ok = False
+        ok = mitm_kernel_min_weight(r.col_bits(), n, delta - 1) is None
         report.add("rows", r.rows).add("cols", r.cols).add("verified", int(ok))
         return EXIT_OK if ok else EXIT_REFUTED
     if sub == "density":

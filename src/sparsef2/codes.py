@@ -6,8 +6,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
+from ._search import block_ints, span_blocks, span_min_weight
 from ._search import mitm_kernel_min_weight as _mitm_kernel_min_weight
 from .errors import (
     DimensionError,
@@ -16,7 +17,7 @@ from .errors import (
     ResourceError,
     ValidationError,
 )
-from .f2 import BitMat, BitVec, mat_mul, mat_vec_mul, nullspace_basis, rank
+from .f2 import BitMat, BitVec, mat_mul, nullspace_basis, rank
 
 DEFAULT_BALANCE_DIM_CAP = 20
 DEFAULT_DENSITY_CAP = 1 << 20
@@ -102,19 +103,11 @@ class LinearCode:
     def from_generator(cls, gen: BitMat) -> "LinearCode":
         return cls(gen.rows, gen.cols, generator=gen)
 
-    def encode(self, msg: BitVec) -> BitVec:
-        if self.generator is None:
-            raise InputError("code has no generator")
-        return mat_vec_mul(self.generator, msg)
-
     def codewords(self):
-        """All 2^dim codewords, message order, via Gray-code single-column updates."""
-        gcols = self.require_generator().col_bits()
-        cw = 0
-        yield BitVec(self.length, 0)
-        for i in range(1, 1 << self.dim):
-            cw ^= gcols[(i & -i).bit_length() - 1]
-            yield BitVec(self.length, cw)
+        """All 2^dim codewords, each once, the zero word first."""
+        for block, _ in span_blocks(self.require_generator().col_bits(), self.length):
+            for cw in block_ints(block):
+                yield BitVec(self.length, cw)
 
     def require_generator(self) -> BitMat:
         if self.generator is None:
@@ -206,19 +199,18 @@ def simplex_generator(kdim: int) -> LinearCode:
 
 def _certify_balance(gen: BitMat, eps: float) -> tuple[int, int] | None:
     """Min/max nonzero-codeword weight if all lie in [1/2-eps, 1/2+eps], else None."""
-    t, dim = gen.rows, gen.cols
+    t = gen.rows
     lo = (0.5 - eps) * t
     hi = (0.5 + eps) * t
     gcols = gen.col_bits()
-    cw = 0
+    # The generators are codewords: checking them first rejects most random tries cheaply.
+    if not all(lo <= c.bit_count() <= hi for c in gcols):
+        return None
     wmin, wmax = t + 1, -1
-    for i in range(1, 1 << dim):
-        cw ^= gcols[(i & -i).bit_length() - 1]
-        w = cw.bit_count()
-        if w < lo or w > hi:
+    for _, weights in islice(span_blocks(gcols, t), 1, None):  # skip the zero message
+        wmin, wmax = min(wmin, int(weights.min())), max(wmax, int(weights.max()))
+        if wmin < lo or wmax > hi:
             return None
-        wmin = min(wmin, w)
-        wmax = max(wmax, w)
     return wmin, wmax
 
 
@@ -340,20 +332,8 @@ def min_distance(code: LinearCode, weight_cap: int | None = None, dim_cap: int =
     gen = code.require_generator()
     if code.dim > dim_cap:
         raise ResourceError(f"dimension {code.dim} exceeds exhaustive cap {dim_cap}; supply weight_cap")
-    best_w = code.length + 1
-    best = None
-    gcols = gen.col_bits()
-    cw = 0
-    for i in range(1, 1 << code.dim):
-        cw ^= gcols[(i & -i).bit_length() - 1]
-        w = cw.bit_count()
-        if w < best_w:
-            best_w = w
-            best = [cw]
-        elif w == best_w:
-            best.append(cw)
-    witness = min((BitVec(code.length, b) for b in best), key=BitVec.lex_key)
-    code.dist_cert = DistanceCert(best_w, "exhaustive", witness)
+    best_w, bits = span_min_weight(gen.col_bits(), code.length)
+    code.dist_cert = DistanceCert(best_w, "exhaustive", BitVec(code.length, bits))
     return best_w
 
 
@@ -363,7 +343,10 @@ def product_density_check(
     """Check that every nonzero symmetric zero-diagonal member of the square
     tensor code has weight >= ceil(1.5 * d^2); returns the minimal-weight witness.
 
-    Enumerates all 2^(dim^2) message matrices X and tests Y = G X G^T.
+    Members are Y = G X G^T for k x k messages X. G has independent columns,
+    so X = L Y L^T for a left inverse L: Y is symmetric iff X is, and then
+    diag(Y) = G diag(X). The members checked are therefore exactly the
+    nonzero elements of the span of g_a g_b^T + g_b g_a^T over a < b.
     """
     gen = code.require_generator()
     k, n = code.dim, code.length
@@ -373,48 +356,17 @@ def product_density_check(
         min_distance(code)
     bound = math.ceil(1.5 * code.dist_cert.d**2)
     gcols = gen.col_bits()
-    grows = gen.row_bits
-    # u_row[v] = (v as message row) * G^T, i.e. XOR of generator columns picked by v.
-    u_row = [0] * (1 << k)
-    for v in range(1, 1 << k):
-        u_row[v] = u_row[v & (v - 1)] ^ gcols[(v & -v).bit_length() - 1]
-    best_w = None
-    best_rows = None
-    diag_masks = [1 << r for r in range(n)]
-    for x in range(1, 1 << (k * k)):
-        u = [u_row[(x >> (a * k)) & ((1 << k) - 1)] for a in range(k)]
-        rows = []
-        for r in range(n):
-            acc = 0
-            g = grows[r]
-            while g:
-                b = (g & -g).bit_length() - 1
-                acc ^= u[b]
-                g &= g - 1
-            rows.append(acc)
-        if all(r == 0 for r in rows):
-            continue
-        if any(rows[r] & diag_masks[r] for r in range(n)):
-            continue
-        symmetric = True
-        for r in range(n):
-            for s in range(r + 1, n):
-                if ((rows[r] >> s) ^ (rows[s] >> r)) & 1:
-                    symmetric = False
-                    break
-            if not symmetric:
-                break
-        if not symmetric:
-            continue
-        w = sum(r.bit_count() for r in rows)
-        key = (w, tuple(BitVec(n, r).lex_key() for r in rows))
-        if best_w is None or key < best_w:
-            best_w = key
-            best_rows = rows
-    if best_rows is None:
+    # g_a g_b^T flattened row-major: row r is g_b where g_a has a 1.
+    rows_of = [[r for r in range(n) if g >> r & 1] for g in gcols]
+    outer = {(a, b): sum(gcols[b] << (r * n) for r in rows_of[a]) for a in range(k) for b in range(k)}
+    pairs = [outer[a, b] ^ outer[b, a] for a, b in combinations(range(k), 2)]
+    found = span_min_weight(pairs, n * n)
+    if found is None:
         return True, None
-    witness = BitMat.from_bitrows(best_rows, n)
-    return best_w[0] >= bound, witness
+    # Row-major flattening: lex order of the flat vector is lex order of the row tuple.
+    best_w, flat = found
+    witness = BitMat.from_bitrows([(flat >> (r * n)) & ((1 << n) - 1) for r in range(n)], n)
+    return best_w >= bound, witness
 
 
 def distribution_bias(points: list[BitVec], support_cap: int, cap: int = DEFAULT_BIAS_CAP) -> float:

@@ -101,9 +101,6 @@ class BitVec:
             raise DimensionError(f"length mismatch {self.n} != {other.n}")
         return (self.bits & other.bits).bit_count() & 1
 
-    def concat(self, other: "BitVec") -> "BitVec":
-        return BitVec(self.n + other.n, self.bits | (other.bits << self.n))
-
     def to01(self) -> str:
         return "".join("1" if (self.bits >> i) & 1 else "0" for i in range(self.n))
 
@@ -196,11 +193,6 @@ class BitMat:
 
     def is_zero(self) -> bool:
         return all(r == 0 for r in self.row_bits)
-
-    def vstack(self, other: "BitMat") -> "BitMat":
-        if self.cols != other.cols:
-            raise DimensionError(f"column mismatch {self.cols} != {other.cols}")
-        return BitMat(self.rows + other.rows, self.cols, self.row_bits + other.row_bits)
 
     def __matmul__(self, other):
         if isinstance(other, BitVec):
@@ -303,5 +295,6 @@ def gauss_solve(m: BitMat, b: BitVec) -> BitVec | None:
         if (red.row_bits[r] >> m.cols) & 1:
             bits |= 1 << pc
     x = BitVec(m.cols, bits)
-    assert mat_vec_mul(m, x) == b
+    if mat_vec_mul(m, x) != b:
+        raise ValidationError("elimination produced a non-solution; this is a bug")
     return x

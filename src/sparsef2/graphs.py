@@ -59,9 +59,6 @@ class Graph:
             adj[v].add(u)
         return adj
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in frozenset(self.edges)
-
     def degrees(self) -> list[int]:
         adj = self.adjacency()
         return [len(adj[v]) for v in range(1, self.n + 1)]

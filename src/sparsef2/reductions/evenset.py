@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .._search import span_min_weight
 from ..codes import balanced_code, bch_parity_check, tensor_parity_check
 from ..errors import ConfigError, InputError, WitnessError
 from ..f2 import BitMat, BitVec, mat_mul, mat_vec_mul, nullspace_basis
@@ -40,14 +41,6 @@ class EvenSetConfig:
     sketch: BitMat | None = None
     mixer_length: int | None = None
     copies: int | None = None
-
-    def describe(self) -> str:
-        parts = [f"eps={self.eps}", f"c={self.c}", f"seed={self.seed}"]
-        for name in ("sketch_delta", "sketch_rows", "mixer_length", "copies"):
-            v = getattr(self, name)
-            if v is not None:
-                parts.append(f"{name}={v}")
-        return " ".join(parts)
 
 
 @dataclass(frozen=True)
@@ -131,12 +124,7 @@ def _kernel_min_weight(m: BitMat, dim_cap: int = 24) -> float:
         raise ConfigError(
             f"cannot certify sketch distance: kernel dimension {len(basis)} exceeds {dim_cap}"
         )
-    cur = 0
-    best = m.cols + 1
-    for i in range(1, 1 << len(basis)):
-        cur ^= basis[(i & -i).bit_length() - 1]
-        best = min(best, cur.bit_count())
-    return float(best)
+    return float(span_min_weight(basis, m.cols)[0])
 
 
 def _build_sketch(n: int, k: int, cfg: EvenSetConfig) -> tuple[BitMat, float]:

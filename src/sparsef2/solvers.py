@@ -12,9 +12,9 @@ from math import comb
 
 import numpy as np
 
-from ._search import colex_unrank, mitm_kernel_min_weight, next_layer, scan_layer, subset_syndrome
+from ._search import colex_unrank, mitm_kernel_min_weight, next_layer, scan_layer, span_min_weight, subset_syndrome
 from .errors import InputError, ResourceError, ValidationError
-from .f2 import BitVec, nullspace_basis, rank
+from .f2 import BitVec, nullspace_basis
 from .instances import EvenSetInstance, PointValueSet, VectorSumInstance
 
 DEFAULT_ENUM_CAP = 80_000_000
@@ -232,7 +232,8 @@ def solve_bfs(inst: VectorSumInstance, state_cap: int = DEFAULT_BFS_CAP) -> Solv
         support ^= 1 << parent_col[v]  # even repetitions cancel
         v = parent_state[v]
     witness = BitVec(n, support)
-    assert witness.weight() <= dist[target]
+    if witness.weight() > dist[target]:
+        raise ValidationError("bfs witness is heavier than its path; this is a bug")
     return _verified(inst, witness, "bfs", work)
 
 
@@ -244,34 +245,26 @@ def evenset_min_weight(
     """Minimum weight of a nonzero kernel vector; feasible iff it is <= k.
 
     Enumerates the whole kernel when its dimension is at most ``dim_cap``;
-    otherwise a meet-in-the-middle search up to ``sparse_cap`` is required.
+    otherwise a meet-in-the-middle search up to ``sparse_cap`` is required,
+    and a cap below k that finds nothing raises ResourceError.
     """
     n = inst.m.cols
-    dim = n - rank(inst.m)
-    if dim == 0:
+    basis = [v.bits for v in nullspace_basis(inst.m)]
+    if not basis:
         return SolveReport(False, None, None, "kernel-enum", 1)
-    if dim <= dim_cap:
-        basis = [v.bits for v in nullspace_basis(inst.m)]
-        cur = 0
-        best_w = n + 1
-        ties: list[int] = []
-        for i in range(1, 1 << dim):
-            cur ^= basis[(i & -i).bit_length() - 1]
-            w = cur.bit_count()
-            if w < best_w:
-                best_w = w
-                ties = [cur]
-            elif w == best_w:
-                ties.append(cur)
-        witness = min((BitVec(n, b) for b in ties), key=BitVec.lex_key)
+    if len(basis) <= dim_cap:
+        best_w, bits = span_min_weight(basis, n)
+        witness = BitVec(n, bits)
         feasible = best_w <= inst.k
         if feasible and not inst.accepts(witness):
             raise ValidationError("kernel enumeration produced a non-solution; this is a bug")
-        return SolveReport(feasible, witness, best_w, "kernel-enum", (1 << dim) - 1)
+        return SolveReport(feasible, witness, best_w, "kernel-enum", (1 << len(basis)) - 1)
     if sparse_cap is None:
-        raise ResourceError(f"kernel dimension {dim} exceeds {dim_cap}; supply a sparse search cap")
+        raise ResourceError(f"kernel dimension {len(basis)} exceeds {dim_cap}; supply a sparse search cap")
     found = mitm_kernel_min_weight(inst.m.col_bits(), n, sparse_cap)
     if found is None:
+        if sparse_cap < inst.k:
+            raise ResourceError(f"no kernel vector of weight <= {sparse_cap}; weights up to k={inst.k} not searched")
         work = 2 * _search_states(n, (sparse_cap + 1) // 2)
         return SolveReport(False, None, None, "mitm-sparse", work)
     w, witness, work = found

@@ -1,12 +1,16 @@
 """End-to-end command-line runs: pipelines, exit codes, determinism."""
 
 import random
+from itertools import combinations
 
+import pytest
+
+from sparsef2 import codes
 from sparsef2.cli import main
-from sparsef2.f2 import BitMat, BitVec
+from sparsef2.f2 import BitMat, BitVec, mat_vec_mul, rank
 from sparsef2.formats import parse_instance, write_instance
 from sparsef2.graphs import Graph
-from sparsef2.instances import VectorSumInstance
+from sparsef2.instances import EvenSetInstance, VectorSumInstance
 
 
 def run_cli(*args):
@@ -55,6 +59,56 @@ def test_verify_bch_and_balance(capsys):
     out = capsys.readouterr().out
     assert "verified=1" in out and "rows=8" in out
     assert run_cli("verify", "balance", "--k", "6", "--eps", "0.2", "--seed", "4") == 0
+
+
+def test_evenset_cap_below_k_refuses(tmp_path, capsys):
+    """A sparse search cap below k that finds nothing has not searched
+    weights cap+1..k, so it must refuse rather than report infeasible."""
+    rng = random.Random(3)
+    rows = [rng.getrandbits(40) for _ in range(14)]
+    rows = [(r & ~(1 << 14)) | ((r ^ r >> 1) & 1) << 14 for r in rows]  # col 14 = col 0 + col 1
+    m = BitMat.from_bitrows(rows, 40)
+    assert 40 - rank(m) == 26  # above the full-enumeration cap, so the sparse search runs
+    path = tmp_path / "cols.es"
+    write_instance(path, EvenSetInstance(m, 6), "evenset")
+    assert run_cli("solve", "--in", str(path), "--alg", "evenset-min", "--cap", "2") == 3
+    assert run_cli("solve", "--in", str(path), "--alg", "evenset-min", "--cap", "3", "--format", "lines") == 0
+    out = capsys.readouterr().out
+    assert "feasible=1" in out and "weight=3" in out
+
+
+_BCH = codes.bch_parity_check
+
+
+def _weakened_bch(n, delta):
+    """BCH check whose last column is the sum of the first two: a weight-3 kernel vector."""
+    r = _BCH(n, delta)
+    cols = r.col_bits()
+    cols[-1] = cols[0] ^ cols[1]
+    return BitMat.from_cols(cols, r.rows)
+
+
+@pytest.mark.parametrize("weaken", [False, True])
+def test_verify_bch_matches_brute_force(monkeypatch, capsys, weaken):
+    if weaken:
+        monkeypatch.setattr(codes, "bch_parity_check", _weakened_bch)
+    for n in range(4, 11):
+        for delta in range(2, n + 1):
+            r = codes.bch_parity_check(n, delta)
+            light = any(
+                mat_vec_mul(r, BitVec.from_support(n, s)).is_zero()
+                for w in range(1, delta)
+                for s in combinations(range(n), w)
+            )
+            status = run_cli("verify", "bch", "--override", f"n={n}", "--delta", str(delta), "--format", "lines")
+            out = capsys.readouterr().out
+            assert status == (1 if light else 0)
+            assert f"rows={r.rows}" in out and f"cols={n}" in out and f"verified={int(not light)}" in out
+            if not weaken:
+                assert not light  # BCH codes meet their designed distance
+            elif delta > 3:
+                assert light
+    assert run_cli("verify", "bch", "--override", "n=15", "--delta", "5", "--cap", "100") == 3
 
 
 def test_verify_density(tmp_path):

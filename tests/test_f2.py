@@ -104,6 +104,12 @@ def test_rank_nullity():
             assert mat_vec_mul(m, v).is_zero()
 
 
+def test_gauss_solve_recheck_raises_validation_error(monkeypatch):
+    monkeypatch.setattr("sparsef2.f2.mat_vec_mul", lambda m, x: BitVec(m.rows, 0))
+    with pytest.raises(ValidationError):
+        gauss_solve(BitMat.identity(2), BitVec.from01("10"))
+
+
 def test_gauss_solve_trivial():
     assert gauss_solve(BitMat.identity(2), BitVec.from01("10")) == BitVec.from01("10")
     assert gauss_solve(BitMat.from_rows(["11", "11"]), BitVec.from01("10")) is None

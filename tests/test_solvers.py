@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+from sparsef2 import solvers
 from sparsef2.codes import min_distance, simplex_generator
 from sparsef2.errors import ResourceError
 from sparsef2.f2 import BitMat, BitVec, mat_vec_mul
@@ -85,19 +86,23 @@ def test_three_way_agreement_random():
             assert brute_force_min_weight(inst) is None
 
 
-def test_numpy_paths_match_python_paths():
+def test_numpy_paths_match_python_paths(monkeypatch):
+    """Instances above _NUMPY_THRESHOLD: 60 columns at k = 4 give 523,686
+    exhaustive states, 100 columns at k = 6 give 166,751 join-table entries.
+    BFS over the 2^12 syndromes is the reference."""
+    ran = []
+    for name in ("_exhaustive_numpy", "_mitm_numpy"):
+        real = getattr(solvers, name)
+        monkeypatch.setattr(solvers, name, lambda *a, _real=real, _name=name: ran.append(_name) or _real(*a))
     rng = random.Random(99)
-    for _ in range(10):
-        cols = 40
-        m = BitMat.from_bitrows([rng.getrandbits(cols) for _ in range(12)], cols)
-        b = BitVec(12, rng.getrandbits(12))
-        inst = VectorSumInstance(m, b, 3)
-        # At this size both solvers take the vectorized route; cross-check against brute force.
-        ground = brute_force_min_weight(inst)
-        for rep in (solve_exhaustive(inst), solve_mitm(inst)):
-            assert rep.feasible == (ground is not None)
-            if ground is not None:
-                assert rep.weight == ground[0]
+    for _ in range(3):
+        for cols, k, solve in ((60, 4, solve_exhaustive), (100, 6, solve_mitm)):
+            m = BitMat.from_bitrows([rng.getrandbits(cols) for _ in range(12)], cols)
+            inst = VectorSumInstance(m, BitVec(12, rng.getrandbits(12)), k)
+            ground = solve_bfs(inst)
+            rep = solve(inst)
+            assert (rep.feasible, rep.weight) == (ground.feasible, ground.weight)
+    assert ran == ["_exhaustive_numpy", "_mitm_numpy"] * 3
 
 
 def test_exhaustive_numpy_lex_tie_break():
