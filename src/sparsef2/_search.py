@@ -2,16 +2,21 @@
 
 Exact-weight layers are kept in colex order (subsets sorted by largest
 element), so layer w is built from layer w-1 with one vectorized XOR per
-column and positions can be unranked back into supports. Kernel search joins
-two sorted layers on equal syndromes. Spans are enumerated in blocks: a table
-of the span of the first ``_LOW_GENERATORS`` generators, built by doubling,
-XORed with each offset of a Gray-code walk over the remaining generators.
+column and positions can be unranked back into supports. The lightest set of
+columns with a given XOR is found by joining sorted layers: one linear map
+first turns the target into the unit vector 1 (or keeps it 0), so matching
+keys are equal or differ in bit 0 only. Spans are enumerated in blocks: a
+table of the span of the first ``_LOW_GENERATORS`` generators, built by
+doubling, XORed with each offset of a Gray-code walk over the remaining
+generators.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import combinations, islice, product
+from bisect import bisect_right
+from functools import lru_cache
+from itertools import islice, product
 from math import comb
 
 import numpy as np
@@ -21,31 +26,56 @@ from .f2 import BitVec
 
 _LOW_GENERATORS = 16
 _SKETCH_SEED = 0x5F2
+_BLOCK = 1 << 16
+# Odd multiplier of the hash whose top 16 bits index the filter in _supports.
+_HASH, _HASH_SHIFT = np.uint64(0x9E3779B97F4A7C15), np.uint64(48)
+
+
+@lru_cache(maxsize=256)
+def _binomials(i: int, size: int) -> tuple[int, ...]:
+    """C(c, i) for 0 <= c < size."""
+    return tuple(comb(c, i) for c in range(size))
 
 
 def colex_unrank(rank: int, w: int) -> tuple[int, ...]:
-    """The w-subset with the given colex rank, as an ascending index tuple."""
+    """The w-subset with the given colex rank, as an ascending index tuple:
+    from i = w down to 1, the largest c with C(c, i) <= the rank left."""
     out = []
-    r = rank
     for i in range(w, 0, -1):
-        c = i - 1
-        while comb(c + 1, i) <= r:
-            c += 1
+        size = 64
+        while comb(size - 1, i) <= rank:
+            size *= 2
+        c = bisect_right(_binomials(i, size), rank) - 1
         out.append(c)
-        r -= comb(c, i)
+        rank -= comb(c, i)
     return tuple(reversed(out))
 
 
 def next_layer(cols: np.ndarray, w: int, prev: np.ndarray) -> np.ndarray:
     """Syndromes of all exact-w column subsets in colex order from the (w-1) layer."""
-    n = len(cols)
-    out = np.empty(comb(n, w), dtype=np.uint64)
-    pos = 0
-    for j in range(w - 1, n):
+    layer = np.empty(comb(len(cols), w), dtype=np.uint64)
+    for _ in _layer_chunks(cols, w, prev, layer):
+        pass
+    return layer
+
+
+def _layer_chunks(cols: np.ndarray, w: int, prev: np.ndarray, layer: np.ndarray | None = None):
+    """Colex layer w, rebuilt from layer w - 1, as (rank of the first key,
+    keys) chunks. With ``layer`` the keys are written into it and come as one
+    chunk; otherwise a buffer of at most ``_BLOCK`` keys is reused, so each
+    chunk must be consumed before the next is drawn."""
+    buf = layer if layer is not None else np.empty(min(_BLOCK, comb(len(cols), w)), dtype=np.uint64)
+    start = fill = 0
+    for j in range(w - 1, len(cols)):
         cnt = comb(j, w - 1)
-        out[pos : pos + cnt] = prev[:cnt] ^ cols[j]
-        pos += cnt
-    return out
+        for lo in range(0, cnt, _BLOCK):
+            part = prev[lo : min(cnt, lo + _BLOCK)]
+            if fill + part.size > buf.size:
+                yield start, buf[:fill]
+                start, fill = start + fill, 0
+            np.bitwise_xor(part, cols[j], out=buf[fill : fill + part.size])
+            fill += part.size
+    yield start, buf[:fill]
 
 
 def scan_layer(
@@ -54,26 +84,16 @@ def scan_layer(
     """One streamed pass over the exact-w layer.
 
     Returns (supports of subsets whose syndrome equals target, the full layer
-    if ``keep`` and nothing was found, else None).
+    if ``keep``, else None).
     """
-    n = len(cols)
     t = np.uint64(target)
     hits: list[tuple[int, ...]] = []
-    blocks: list[np.ndarray] = []
-    for j in range(w - 1, n):
-        cnt = comb(j, w - 1)
-        if cnt == 0:
-            continue
-        block = prev[:cnt] ^ cols[j]
-        for p in np.flatnonzero(block == t):
-            hits.append(colex_unrank(int(p), w - 1) + (j,))
+    layer = np.empty(comb(len(cols), w), dtype=np.uint64) if keep else None
+    for start, chunk in _layer_chunks(cols, w, prev, layer):
+        for p in np.flatnonzero(chunk == t):
+            hits.append(colex_unrank(start + int(p), w))
             if len(hits) > tie_cap:
                 raise ResourceError(f"more than {tie_cap} equal-weight solutions; raise the tie cap")
-        if keep:
-            blocks.append(block)
-    layer = None
-    if keep and not hits:
-        layer = np.concatenate(blocks) if blocks else np.empty(0, dtype=np.uint64)
     return hits, layer
 
 
@@ -96,51 +116,112 @@ def _keys64(cols: list[int]) -> np.ndarray:
     return np.array(cols, dtype=np.uint64)
 
 
+def _rotate(keys: np.ndarray, target: int) -> np.ndarray:
+    """Keys under the invertible linear map of F2^64 that sends the nonzero
+    ``target`` to 1: x -> x ^ x_l (target ^ 2^l), then bits 0 and l swapped,
+    where l is the lowest set bit of the target."""
+    low, one = np.uint64((target & -target).bit_length() - 1), np.uint64(1)
+    keys = keys ^ ((keys >> low) & one) * np.uint64(target & (target - 1))
+    swap = (keys ^ (keys >> low)) & one
+    return keys ^ swap ^ (swap << low)
+
+
+def lightest_by_join(cols: list[int], n: int, target: int, cap: int) -> tuple[tuple[int, BitVec] | None, int]:
+    """The lightest nonempty set of at most ``cap`` of the n columns whose XOR
+    is ``target``, as (weight, lex-least witness) or None, and the work
+    C(n, ceil(w/2)) + C(n, floor(w/2)) summed over the weights w tried.
+
+    The keys are rotated so that the target becomes tau = 1 (tau = 0 for a
+    zero target), and weight w joins the sorted colex layers of sizes
+    h = ceil(w/2) and floor(w/2) on keys that XOR to tau: adjacent keys of
+    layer h for even w, a binary search of layer h - 1 in layer h for odd w.
+    No lighter solution exists once weight w is reached, so every exact
+    match is a pair of disjoint halves of a weight-w solution.
+    """
+    keys = _keys64(cols + [target])
+    keys, tau = (keys[:-1], 0) if keys[-1] == 0 else (_rotate(keys[:-1], int(keys[-1])), 1)
+    prev = low = high = np.zeros(1, dtype=np.uint64)  # layer h - 1 in colex order, sorted layers h - 1 and h
+    work = 0
+    for w in range(1, cap + 1):
+        h = (w + 1) // 2
+        work += comb(n, h) + comb(n, w // 2)
+        if w > n:
+            continue
+        if w % 2:
+            # Only the sorted copy of layer h is kept; the small colex layer h - 1 is rebuilt.
+            if h > 1:
+                prev, low = next_layer(keys, h - 1, prev), high
+            high = next_layer(keys, h, prev)
+            high.sort()
+            probes = low ^ np.uint64(tau)
+            pos = np.minimum(np.searchsorted(high, probes), high.size - 1)
+            vals = np.unique(probes[high[pos] == probes])
+        else:
+            runs = (high[i : i + _BLOCK + 1] for i in range(0, high.size, _BLOCK))
+            vals = np.unique(np.concatenate([s[:-1][(s[1:] ^ s[:-1]) == tau] for s in runs]))
+        supports = (frozenset(p + q) for p, q in _halves(keys, h, prev, vals, tau, w % 2))
+        found = {s for s in supports if len(s) == w and subset_syndrome(cols, s) == target}
+        if found:
+            return (w, min((BitVec.from_support(n, s) for s in found), key=BitVec.lex_key)), work
+    return None, work
+
+
+def lightest_by_scan(cols: list[int], n: int, target: int, cap: int) -> tuple[tuple[int, BitVec] | None, int]:
+    """``lightest_by_join`` by streaming every colex layer up to ``cap``
+    through ``scan_layer``; the work is the number of subsets enumerated."""
+    keys = _keys64(cols + [target])
+    keys, key = keys[:-1], int(keys[-1])
+    prev = np.zeros(1, dtype=np.uint64)
+    work = 0
+    for w in range(1, cap + 1):
+        hits, layer = scan_layer(keys, w, prev, key, keep=w < cap)
+        work += comb(n, w)
+        exact = [BitVec.from_support(n, s) for s in hits if subset_syndrome(cols, s) == target]
+        if exact:
+            return (w, min(exact, key=BitVec.lex_key)), work
+        prev = layer
+    return None, work
+
+
+def _halves(keys: np.ndarray, h: int, prev: np.ndarray, vals: np.ndarray, tau: int, odd: int):
+    """Pairs (p, q) of supports from layer h and layer h - odd with keys v
+    and v ^ tau, for v in ``vals``, keys of layer h; layer h is rebuilt
+    from its colex predecessor ``prev``."""
+    if not vals.size:
+        return
+    if odd:
+        big = _supports(_layer_chunks(keys, h, prev), h, vals)
+        small = _supports([(0, prev)], h - 1, vals ^ np.uint64(tau))
+    else:
+        big = small = _supports(_layer_chunks(keys, h, prev), h, np.concatenate([vals, vals ^ np.uint64(tau)]))
+    for v in map(int, vals):
+        yield from product(big[v], small[v ^ tau])
+
+
+def _supports(chunks, w: int, vals: np.ndarray) -> dict[int, list[tuple[int, ...]]]:
+    """Supports of the w-subsets whose key is in ``vals``, by key, from
+    (first rank, keys) chunks of colex layer w. A 2^16-entry sieve indexed
+    by a multiplicative hash of the key picks the candidates."""
+    wanted = set(map(int, vals))
+    sieve = np.zeros(1 << 16, dtype=bool)
+    sieve[(vals * _HASH) >> _HASH_SHIFT] = True
+    found: dict[int, list[tuple[int, ...]]] = {}
+    for start, chunk in chunks:
+        hashed = chunk * _HASH
+        hashed >>= _HASH_SHIFT
+        for p in np.flatnonzero(sieve[hashed]):
+            key = int(chunk[p])
+            if key in wanted:
+                found.setdefault(key, []).append(colex_unrank(start + int(p), w))
+    return found
+
+
 def mitm_kernel_min_weight(cols: list[int], n: int, cap: int) -> tuple[int, BitVec, int] | None:
     """Smallest 1 <= w <= cap such that some w-subset of columns XORs to zero,
     with the lex-least witness and the work C(n, ceil(w/2)) + C(n, floor(w/2))
-    summed over the weights tried; None if no such subset exists.
-
-    Weight w joins the sorted colex layers of sizes ceil(w/2) and floor(w/2)
-    on equal keys. No lighter kernel vector exists once weight w is reached,
-    so every exact match is a pair of disjoint halves of a weight-w solution.
-    """
-    keys = _keys64(cols)
-    layer = np.zeros(1, dtype=np.uint64)
-    joined = [(layer, np.zeros(1, dtype=np.int64))]  # (sorted keys, colex ranks) per layer
-    work = 0
-    for w in range(1, cap + 1):
-        w1, w2 = (w + 1) // 2, w // 2
-        if len(joined) == w1:
-            layer = next_layer(keys, w1, layer)
-            order = np.argsort(layer, kind="stable")
-            joined.append((layer[order], order))
-        work += comb(n, w1) + comb(n, w2)
-        hits = [BitVec.from_support(n, s) for s in _join(cols, joined[w1], joined[w2], w1, w2)]
-        if hits:
-            return w, min(hits, key=BitVec.lex_key), work
-    return None
-
-
-def _join(cols: list[int], a, b, w1: int, w2: int):
-    """Supports of size w1 + w2 whose columns XOR to zero, from pairs of a
-    w1-subset and a w2-subset with equal keys in the sorted layers a and b."""
-    (ka, oa), (kb, ob) = a, b
-    if w1 == w2:
-        # Adjacent equal keys; a subset never pairs with itself.
-        keys = np.unique(ka[1:][ka[1:] == ka[:-1]])
-    elif not ka.size:  # fewer than w1 columns
-        return
-    else:
-        pos = np.minimum(np.searchsorted(ka, kb), ka.size - 1)
-        keys = np.unique(kb[ka[pos] == kb])
-    for key in keys:
-        ra = oa[np.searchsorted(ka, key, "left") : np.searchsorted(ka, key, "right")]
-        rb = ob[np.searchsorted(kb, key, "left") : np.searchsorted(kb, key, "right")]
-        for p, q in combinations(ra, 2) if w1 == w2 else product(ra, rb):
-            support = set(colex_unrank(int(p), w1)) | set(colex_unrank(int(q), w2))
-            if len(support) == w1 + w2 and subset_syndrome(cols, support) == 0:
-                yield support
+    summed over the weights tried; None if no such subset exists."""
+    found, work = lightest_by_join(cols, n, 0, cap)
+    return None if found is None else (*found, work)
 
 
 def block_ints(block: np.ndarray) -> list[int]:

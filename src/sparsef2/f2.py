@@ -14,6 +14,9 @@ from typing import Iterable, Iterator, Sequence
 from .errors import DimensionError, InputError, ValidationError
 
 
+_BYTE_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
 def _mask(n: int) -> int:
     return (1 << n) - 1
 
@@ -58,7 +61,9 @@ class BitVec:
 
     @classmethod
     def from01(cls, s: str) -> "BitVec":
-        return cls.from_bits(int(c) for c in s)
+        if s.strip("01"):  # what is left starts with a character other than 0 and 1
+            raise InputError(f"{s!r} is not a 01 string")
+        return cls(len(s), int(s[::-1], 2) if s else 0)
 
     @classmethod
     def from_support(cls, n: int, support: Iterable[int]) -> "BitVec":
@@ -102,11 +107,14 @@ class BitVec:
         return (self.bits & other.bits).bit_count() & 1
 
     def to01(self) -> str:
-        return "".join("1" if (self.bits >> i) & 1 else "0" for i in range(self.n))
+        return format(self.bits, f"0{self.n}b")[::-1] if self.n else ""
 
-    def lex_key(self) -> str:
-        """Sort key: coordinate-0-first 01 string, used for all tie-breaking."""
-        return self.to01()
+    def lex_key(self) -> int:
+        """Sort key for all tie-breaking: ordered as the coordinate-0-first 01
+        string among vectors of one length, it is the bit-reversed value."""
+        size = -(-self.n // 8)
+        reversed_bytes = self.bits.to_bytes(size, "little").translate(_BYTE_REVERSED)
+        return int.from_bytes(reversed_bytes, "big") >> (8 * size - self.n)
 
     def __repr__(self) -> str:
         return f"BitVec('{self.to01()}')" if self.n <= 64 else f"BitVec(n={self.n}, wt={self.weight()})"

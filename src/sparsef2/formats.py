@@ -52,9 +52,9 @@ def _ints(line: str, count: int, lineno: int, what: str) -> list[int]:
 
 
 def _bits(token: str, n: int, lineno: int) -> BitVec:
-    if len(token) != n or any(c not in "01" for c in token):
+    if len(token) != n or token.strip("01"):
         raise ParseError(f"expected {n} bits, got {token!r}", lineno)
-    return BitVec.from01(token)
+    return BitVec(n, int(token[::-1], 2) if n else 0)
 
 
 def _header(lines: Iterable[str]) -> str:

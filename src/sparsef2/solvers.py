@@ -12,7 +12,7 @@ from math import comb
 
 import numpy as np
 
-from ._search import colex_unrank, mitm_kernel_min_weight, next_layer, scan_layer, span_min_weight, subset_syndrome
+from ._search import lightest_by_join, lightest_by_scan, mitm_kernel_min_weight, span_min_weight
 from .errors import InputError, ResourceError, ValidationError
 from .f2 import BitVec, nullspace_basis
 from .instances import EvenSetInstance, PointValueSet, VectorSumInstance
@@ -20,7 +20,6 @@ from .instances import EvenSetInstance, PointValueSet, VectorSumInstance
 DEFAULT_ENUM_CAP = 80_000_000
 DEFAULT_MEMORY_CAP = 45_000_000
 DEFAULT_BFS_CAP = 1 << 22
-_NUMPY_THRESHOLD = 150_000
 
 
 @dataclass(frozen=True)
@@ -42,6 +41,12 @@ def _verified(inst: VectorSumInstance, witness: BitVec, algorithm: str, work: in
     return SolveReport(True, witness, witness.weight(), algorithm, work)
 
 
+def _report(inst: VectorSumInstance, found: tuple[int, BitVec] | None, work: int, algorithm: str) -> SolveReport:
+    if found is None:
+        return SolveReport(False, None, None, algorithm, work)
+    return _verified(inst, found[1], algorithm, work)
+
+
 def _zero_solution(inst: VectorSumInstance, algorithm: str) -> SolveReport | None:
     # x = 0 solves Mx = b exactly when b = 0.
     if inst.b.is_zero():
@@ -56,8 +61,9 @@ def _search_states(n: int, k: int) -> int:
 def solve_exhaustive(inst: VectorSumInstance, enum_cap: int = DEFAULT_ENUM_CAP) -> SolveReport:
     """Enumerate all vectors of weight <= k by increasing weight; exact.
 
-    Reports the minimal-weight solution, lex-least (coordinate-0-first
-    01-string order) among ties.
+    Each colex layer is streamed once (``_search.lightest_by_scan``). Reports
+    the minimal-weight solution, lex-least (coordinate-0-first 01-string
+    order) among ties; the work is the number of vectors enumerated.
     """
     n, k = inst.m.cols, min(inst.k, inst.m.cols)
     states = _search_states(n, k)
@@ -66,35 +72,7 @@ def solve_exhaustive(inst: VectorSumInstance, enum_cap: int = DEFAULT_ENUM_CAP) 
     early = _zero_solution(inst, "exhaustive")
     if early is not None:
         return early
-    if states > _NUMPY_THRESHOLD and inst.m.rows <= 64:
-        return _exhaustive_numpy(inst, k)
-    cols = inst.m.col_bits()
-    target = inst.b.bits
-    work = 0
-    for w in range(1, k + 1):
-        ties = []
-        for sub in combinations(range(n), w):
-            work += 1
-            if subset_syndrome(cols, sub) == target:
-                ties.append(BitVec.from_support(n, sub))
-        if ties:
-            return _verified(inst, min(ties, key=BitVec.lex_key), "exhaustive", work)
-    return SolveReport(False, None, None, "exhaustive", work)
-
-
-def _exhaustive_numpy(inst: VectorSumInstance, k: int) -> SolveReport:
-    n = inst.m.cols
-    cols = np.array(inst.m.col_bits(), dtype=np.uint64)
-    prev = np.zeros(1, dtype=np.uint64)
-    work = 0
-    for w in range(1, k + 1):
-        hits, layer = scan_layer(cols, w, prev, inst.b.bits, keep=(w < k))
-        work += comb(n, w)
-        if hits:
-            witness = min((BitVec.from_support(n, s) for s in hits), key=BitVec.lex_key)
-            return _verified(inst, witness, "exhaustive", work)
-        prev = layer
-    return SolveReport(False, None, None, "exhaustive", work)
+    return _report(inst, *lightest_by_scan(inst.m.col_bits(), n, inst.b.bits, k), "exhaustive")
 
 
 def solve_mitm(
@@ -102,8 +80,11 @@ def solve_mitm(
     enum_cap: int = DEFAULT_ENUM_CAP,
     memory_cap: int = DEFAULT_MEMORY_CAP,
 ) -> SolveReport:
-    """Meet in the middle: a syndrome table of half-weight column sums probed
-    with the other half. Same feasibility and minimal weight as exhaustive."""
+    """Meet in the middle (``_search.lightest_by_join``): for w = 1, 2, ..., k
+    the sorted colex layers of ceil(w/2) and floor(w/2) columns are joined on
+    syndromes that XOR to b. Same feasibility, weight and lex-least witness
+    as exhaustive; the work is C(n, ceil(w/2)) + C(n, floor(w/2)) summed
+    over the weights tried."""
     n, k = inst.m.cols, min(inst.k, inst.m.cols)
     half = (k + 1) // 2
     table_states = _search_states(n, half)
@@ -114,79 +95,7 @@ def solve_mitm(
     early = _zero_solution(inst, "mitm")
     if early is not None:
         return early
-    if table_states > _NUMPY_THRESHOLD and inst.m.rows <= 64:
-        return _mitm_numpy(inst, k)
-    return _mitm_python(inst, k)
-
-
-def _mitm_python(inst: VectorSumInstance, k: int) -> SolveReport:
-    n = inst.m.cols
-    cols = inst.m.col_bits()
-    target = inst.b.bits
-    work = 0
-    table: dict[int, tuple[int, ...]] = {}
-    for w1 in range((k + 1) // 2 + 1):
-        for sub in combinations(range(n), w1):
-            work += 1
-            table.setdefault(subset_syndrome(cols, sub), sub)
-    best: tuple[int, str, BitVec] | None = None
-    for w2 in range(k // 2 + 1):
-        for sub in combinations(range(n), w2):
-            work += 1
-            other = table.get(target ^ subset_syndrome(cols, sub))
-            if other is None:
-                continue
-            support = set(other) ^ set(sub)
-            if not support and target != 0:
-                continue
-            if len(support) > k:
-                continue
-            cand = BitVec.from_support(n, support)
-            key = (cand.weight(), cand.lex_key(), cand)
-            if best is None or key[:2] < best[:2]:
-                best = key
-    if best is None:
-        return SolveReport(False, None, None, "mitm", work)
-    return _verified(inst, best[2], "mitm", work)
-
-
-def _mitm_numpy(inst: VectorSumInstance, k: int) -> SolveReport:
-    n = inst.m.cols
-    py_cols = inst.m.col_bits()
-    cols = np.array(py_cols, dtype=np.uint64)
-    target = inst.b.bits
-    layers: list[np.ndarray] = [np.zeros(1, dtype=np.uint64)]
-    sorted_layers: dict[int, np.ndarray] = {}
-    work = 0
-
-    def layer(w: int) -> np.ndarray:
-        while len(layers) <= w:
-            layers.append(next_layer(cols, len(layers), layers[-1]))
-        return layers[w]
-
-    for w in range(1, k + 1):
-        w1, w2 = (w + 1) // 2, w // 2
-        tbl = layer(w1)
-        if len(tbl) == 0:
-            continue
-        if w1 not in sorted_layers:
-            sorted_layers[w1] = np.sort(tbl)
-            work += len(tbl)
-        srt = sorted_layers[w1]
-        probes = layer(w2) ^ np.uint64(target)
-        work += len(probes)
-        pos = np.searchsorted(srt, probes)
-        pos[pos == len(srt)] = len(srt) - 1
-        hit_ranks = np.flatnonzero(srt[pos] == probes)
-        if hit_ranks.size == 0:
-            continue
-        q = colex_unrank(int(hit_ranks[0]), w2)
-        needed = target ^ subset_syndrome(py_cols, q)
-        p_rank = int(np.flatnonzero(tbl == np.uint64(needed))[0])
-        p = colex_unrank(p_rank, w1)
-        witness = BitVec.from_support(n, set(p) ^ set(q))
-        return _verified(inst, witness, "mitm", work)
-    return SolveReport(False, None, None, "mitm", work)
+    return _report(inst, *lightest_by_join(inst.m.col_bits(), n, inst.b.bits, k), "mitm")
 
 
 def solve_bfs(inst: VectorSumInstance, state_cap: int = DEFAULT_BFS_CAP) -> SolveReport:

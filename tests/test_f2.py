@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsef2.errors import DimensionError, InputError, ValidationError
 from sparsef2.f2 import BitMat, BitVec, gauss_solve, mat_mul, mat_vec_mul, nullspace_basis, rank, rref, weight
@@ -30,6 +32,30 @@ def test_bitvec_rejects_padding_leakage():
         BitVec(3, 0b1000)
     with pytest.raises(InputError):
         BitVec.from_bits([0, 2, 1])
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.integers(0, 200).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, (1 << n) - 1))))
+def test_01_codecs_match_the_character_loops(vec):
+    n, bits = vec
+    text = "".join("1" if bits >> i & 1 else "0" for i in range(n))
+    assert BitVec(n, bits).to01() == text
+    assert BitVec.from01(text) == BitVec(n, bits)
+
+
+@pytest.mark.parametrize("text", ["2", "01a", " 01", "0 1", "0_1", "+1", "1\n", "\uff11", "\u0661"])
+def test_from01_rejects_non_bits(text):
+    with pytest.raises(InputError):
+        BitVec.from01(text)
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+def test_lex_key_orders_like_01_strings(n):
+    rng = random.Random(n)
+    vecs = [random_vec(rng, n) for _ in range(300)] + [BitVec.unit(n, i) for i in range(n)]
+    vecs += [BitVec.zeros(n), BitVec.ones(n)]
+    assert sorted(vecs, key=BitVec.lex_key) == sorted(vecs, key=BitVec.to01)
+    assert len({v.lex_key() for v in vecs}) == len(set(vecs))
 
 
 def test_mat_vec_identity_and_zero():

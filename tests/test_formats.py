@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sparsef2.codes import bch_parity_check, simplex_generator
 from sparsef2.errors import ParseError
@@ -90,3 +92,61 @@ def test_roundtrip_random(kind):
 def test_trailing_garbage_rejected():
     with pytest.raises(ParseError):
         loads("3 1\n1 2\n1 3\n", "graph")
+
+
+def _row01(bits, n):
+    return "".join("1" if bits >> i & 1 else "0" for i in range(n))
+
+
+@st.composite
+def written_files(draw):
+    """(kind, object, the text the format defines for it), the rows of the
+    text spelled out one character at a time."""
+    kind = draw(st.sampled_from(["vectorsum", "evenset", "pointvalues", "points"]))
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 140))
+    bits = [draw(st.integers(0, (1 << cols) - 1)) for _ in range(rows)]
+    m = BitMat.from_bitrows(bits, cols)
+    matrix = f"{rows} {cols}\n" + "".join(_row01(r, cols) + "\n" for r in bits)
+    k = draw(st.integers(1, 9))
+    if kind == "vectorsum":
+        b = draw(st.integers(0, (1 << rows) - 1))
+        return kind, VectorSumInstance(m, BitVec(rows, b), k), matrix + f"b {_row01(b, rows)}\nk {k}\n"
+    if kind == "evenset":
+        return kind, EvenSetInstance(m, k), matrix + f"k {k}\n"
+    if kind == "points":
+        return kind, [m.row(i) for i in range(rows)], matrix
+    values = [draw(st.integers(0, 1)) for _ in range(rows)]
+    pv = PointValueSet(tuple(m.row(i) for i in range(rows)), tuple(values))
+    return kind, pv, f"{rows} {cols}\n" + "".join(f"{_row01(r, cols)} {v}\n" for r, v in zip(bits, values))
+
+
+FORMAT_SETTINGS = settings(max_examples=100, deadline=None, database=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+@FORMAT_SETTINGS
+@given(written_files())
+def test_written_text_is_the_defined_format_and_round_trips(case):
+    kind, obj, text = case
+    assert dumps(obj, kind) == text
+    assert loads(text, kind) == obj
+
+
+@FORMAT_SETTINGS
+@given(written_files(), st.data())
+def test_malformed_rows_raise_parse_error(case, data):
+    """A bit row (a matrix row, the 'b' line or a point-value pair) with a
+    character replaced, inserted or deleted either still parses or raises
+    ParseError; nothing else escapes."""
+    kind, _, text = case
+    lines = text.splitlines()
+    last = len(lines) - 1 if kind in ("vectorsum", "evenset") else len(lines)  # before the 'k' line
+    row = data.draw(st.integers(1, last - 1))
+    line = lines[row]
+    pos = data.draw(st.integers(0, len(line)))
+    junk = data.draw(st.sampled_from(["", "0", "1", "2", "a", "_", "+", "-", " ", "\t", "\uff11", "\u0661", "#", "b"]))
+    cut = data.draw(st.integers(0, 1))
+    lines[row] = line[:pos] + junk + line[pos + cut :]
+    try:
+        loads("\n".join(lines) + "\n", kind)
+    except ParseError:
+        pass

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from sparsef2 import _search
-from sparsef2._search import mitm_kernel_min_weight, span_min_weight
+from sparsef2._search import colex_unrank, mitm_kernel_min_weight, span_min_weight
 from sparsef2.codes import LinearCode, product_density_check
 from sparsef2.f2 import BitMat, BitVec, rank
 
@@ -27,6 +27,26 @@ def brute_kernel_min_weight(cols, n, cap):
         if hits:
             return w, min(hits, key=BitVec.lex_key), work
     return None
+
+
+def linear_scan_colex_unrank(rank, w):
+    """colex_unrank by a linear scan over c for each element."""
+    out = []
+    for i in range(w, 0, -1):
+        c = i - 1
+        while math.comb(c + 1, i) <= rank:
+            c += 1
+        out.append(c)
+        rank -= math.comb(c, i)
+    return tuple(reversed(out))
+
+
+def test_colex_unrank_matches_linear_scan():
+    for n in range(13):
+        for w in range(6):
+            colex = sorted(combinations(range(n), w), key=lambda s: s[::-1])
+            for rank, subset in enumerate(colex):
+                assert colex_unrank(rank, w) == linear_scan_colex_unrank(rank, w) == subset
 
 
 def brute_span_min_weight(basis, n):
@@ -79,6 +99,14 @@ def test_kernel_mitm_matches_brute_force_compressed_syndromes(system, cap):
 def test_kernel_mitm_matches_brute_force_many_columns(system, cap):
     cols, n = system
     assert mitm_kernel_min_weight(cols, n, cap) == brute_kernel_min_weight(cols, n, cap)
+
+
+@SETTINGS
+@given(column_systems(max_n=14, max_rows=100), st.integers(1, 5), st.sampled_from([1, 3, 7]))
+def test_kernel_mitm_matches_brute_force_in_small_chunks(system, cap, block):
+    cols, n = system
+    with mock.patch.object(_search, "_BLOCK", block):
+        assert mitm_kernel_min_weight(cols, n, cap) == brute_kernel_min_weight(cols, n, cap)
 
 
 def test_kernel_mitm_lex_least_among_many_solutions():

@@ -3,13 +3,17 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from sparsef2 import solvers
+from sparsef2 import _search
 from sparsef2.codes import min_distance, simplex_generator
 from sparsef2.errors import ResourceError
-from sparsef2.f2 import BitMat, BitVec, mat_vec_mul
+from sparsef2.f2 import BitMat, BitVec
 from sparsef2.instances import EvenSetInstance, PointValueSet, VectorSumInstance
 from sparsef2.solvers import (
     ParityForm,
@@ -24,14 +28,7 @@ from sparsef2.solvers import (
 )
 
 
-def brute_force_min_weight(inst):
-    best = None
-    for w in range(inst.k + 1):
-        for sub in combinations(range(inst.m.cols), w):
-            x = BitVec.from_support(inst.m.cols, sub)
-            if mat_vec_mul(inst.m, x) == inst.b:
-                return w, x
-    return None
+SETTINGS = settings(max_examples=40, deadline=None, database=None, suppress_health_check=[HealthCheck.too_slow])
 
 
 def random_instance(rng, rows_max=8, cols_max=12, k_max=4):
@@ -80,52 +77,110 @@ def test_three_way_agreement_random():
         assert len({r.feasible for r in reps}) == 1
         if reps[0].feasible:
             assert reps[0].weight == reps[1].weight == reps[2].weight
-            ground = brute_force_min_weight(inst)
+            ground = brute_force_lex_least(inst.m.col_bits(), inst.m.rows, inst.b.bits, inst.k)
             assert ground is not None and ground[0] == reps[0].weight
         else:
-            assert brute_force_min_weight(inst) is None
+            assert brute_force_lex_least(inst.m.col_bits(), inst.m.rows, inst.b.bits, inst.k) is None
 
 
-def test_numpy_paths_match_python_paths(monkeypatch):
-    """Instances above _NUMPY_THRESHOLD: 60 columns at k = 4 give 523,686
-    exhaustive states, 100 columns at k = 6 give 166,751 join-table entries.
-    BFS over the 2^12 syndromes is the reference."""
-    ran = []
-    for name in ("_exhaustive_numpy", "_mitm_numpy"):
-        real = getattr(solvers, name)
-        monkeypatch.setattr(solvers, name, lambda *a, _real=real, _name=name: ran.append(_name) or _real(*a))
+def brute_force_lex_least(cols, rows, b, k):
+    """(weight, witness) of the lightest x with Mx = b and |x| <= k, the
+    lex-least 01 string among ties; None if there is none."""
+    n = len(cols)
+    for w in range(min(k, n) + 1):
+        hits = [sub for sub in combinations(range(n), w) if _xor(cols[j] for j in sub) == b]
+        if hits:
+            return w, min((BitVec.from_support(n, sub) for sub in hits), key=BitVec.to01)
+    return None
+
+
+def _xor(values):
+    acc = 0
+    for v in values:
+        acc ^= v
+    return acc
+
+
+@st.composite
+def vectorsum_systems(draw, min_rows, max_rows, max_n=12, max_k=5):
+    """(columns, rows, target, k) with the target's lowest set bit at 0, 63,
+    65 or the top row when the rows allow it, sometimes zero, and a few
+    planted short solutions."""
+    rows = draw(st.integers(min_rows, max_rows))
+    n, k = draw(st.integers(1, max_n)), draw(st.integers(1, max_k))
+    cols = [draw(st.integers(0, (1 << rows) - 1)) for _ in range(n)]
+    low = draw(st.sampled_from([None] + [bit for bit in (0, 63, 65, rows - 1) if bit < rows]))
+    b = 0 if low is None else draw(st.integers(0, (1 << (rows - low - 1)) - 1)) << (low + 1) | 1 << low
+    for _ in range(draw(st.integers(0, 2))):
+        picked = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=k, unique=True))
+        cols[picked[0]] = b ^ _xor(cols[j] for j in picked[1:])
+    return cols, rows, b, k
+
+
+def assert_solvers_match_brute_force(cols, rows, b, k):
+    inst = VectorSumInstance(BitMat.from_cols(cols, rows), BitVec(rows, b), k)
+    ground = brute_force_lex_least(cols, rows, b, k)
+    for solve in (solve_mitm, solve_exhaustive):
+        rep = solve(inst)
+        assert (rep.feasible, rep.weight, rep.witness) == ((False, None, None) if ground is None else (True, *ground))
+    if rows <= 16:
+        rep = solve_bfs(inst)
+        assert (rep.feasible, rep.weight) == ((False, None) if ground is None else (True, ground[0]))
+
+
+@SETTINGS
+@given(st.one_of(vectorsum_systems(1, 6), vectorsum_systems(1, 64)))
+def test_solvers_match_brute_force_short_syndromes(system):
+    """Up to 64 rows; few rows give many solutions of the same weight."""
+    assert_solvers_match_brute_force(*system)
+
+
+@SETTINGS
+@given(vectorsum_systems(65, 200))
+def test_solvers_match_brute_force_compressed_syndromes(system):
+    assert_solvers_match_brute_force(*system)
+
+
+@SETTINGS
+@given(vectorsum_systems(1, 100, max_n=9, max_k=4))
+def test_solvers_recheck_every_key_collision(system):
+    """With a compression that maps every column and the target to one key,
+    every subset collides and only the exact re-check separates answers."""
+    with mock.patch.object(_search, "_keys64", lambda c: np.zeros(len(c), dtype=np.uint64)):
+        assert_solvers_match_brute_force(*system)
+
+
+@SETTINGS
+@given(st.one_of(vectorsum_systems(1, 8, max_n=14), vectorsum_systems(60, 100, max_n=14)), st.sampled_from([1, 3, 7]))
+def test_solvers_match_brute_force_in_small_chunks(system, block):
+    """Layers streamed in chunks of a few keys, so ranks and adjacent pairs
+    cross chunk boundaries."""
+    with mock.patch.object(_search, "_BLOCK", block):
+        assert_solvers_match_brute_force(*system)
+
+
+def test_solvers_lex_least_among_many_solutions():
+    """3-6 rows and 14-18 columns: many solutions share the minimum weight."""
+    rng = random.Random(5)
+    for _ in range(60):
+        rows, n = rng.randint(3, 6), rng.randint(14, 18)
+        assert_solvers_match_brute_force([rng.getrandbits(rows) for _ in range(n)], rows, rng.getrandbits(rows), 4)
+
+
+def test_solvers_agree_with_bfs_on_large_instances():
+    """60 columns at k = 4 (523,686 exhaustive states) and 100 columns at
+    k = 6 (166,751 entries in the largest join layers), against BFS over the
+    2^12 syndromes; exhaustive and mitm return the same witness."""
     rng = random.Random(99)
     for _ in range(3):
-        for cols, k, solve in ((60, 4, solve_exhaustive), (100, 6, solve_mitm)):
+        for cols, k in ((60, 4), (100, 6)):
             m = BitMat.from_bitrows([rng.getrandbits(cols) for _ in range(12)], cols)
             inst = VectorSumInstance(m, BitVec(12, rng.getrandbits(12)), k)
             ground = solve_bfs(inst)
-            rep = solve(inst)
+            rep = solve_mitm(inst)
             assert (rep.feasible, rep.weight) == (ground.feasible, ground.weight)
-    assert ran == ["_exhaustive_numpy", "_mitm_numpy"] * 3
-
-
-def test_exhaustive_numpy_lex_tie_break():
-    rng = random.Random(5)
-    for _ in range(20):
-        cols = 30
-        m = BitMat.from_bitrows([rng.getrandbits(cols) for _ in range(6)], cols)
-        b = BitVec(6, rng.getrandbits(6))
-        inst = VectorSumInstance(m, b, 2)
-        small = solve_exhaustive(inst, enum_cap=10**9)
-        # Ground truth by direct enumeration with the same lex tie-break.
-        ground = []
-        for w in range(inst.k + 1):
-            for sub in combinations(range(cols), w):
-                x = BitVec.from_support(cols, sub)
-                if mat_vec_mul(m, x) == b:
-                    ground.append((w, x.lex_key(), x))
-            if ground:
-                break
-        if ground:
-            assert small.witness == min(ground)[2]
-        else:
-            assert not small.feasible
+            if cols == 60:
+                assert solve_exhaustive(inst).witness == rep.witness
 
 
 def test_resource_caps():
