@@ -24,6 +24,9 @@ import numpy as np
 from .errors import ResourceError
 from .f2 import BitVec
 
+DEFAULT_ENUM_CAP = 80_000_000
+# Kernels and codes of at most this dimension are enumerated in full.
+FULL_ENUM_DIM = 24
 _LOW_GENERATORS = 16
 _SKETCH_SEED = 0x5F2
 _BLOCK = 1 << 16
@@ -126,10 +129,29 @@ def _rotate(keys: np.ndarray, target: int) -> np.ndarray:
     return keys ^ swap ^ (swap << low)
 
 
-def lightest_by_join(cols: list[int], n: int, target: int, cap: int) -> tuple[tuple[int, BitVec] | None, int]:
-    """The lightest nonempty set of at most ``cap`` of the n columns whose XOR
-    is ``target``, as (weight, lex-least witness) or None, and the work
-    C(n, ceil(w/2)) + C(n, floor(w/2)) summed over the weights w tried.
+def search_work(n: int, max_weight: int, join: bool) -> int:
+    """The work of a search of n columns over the weights 1..max_weight:
+    C(n, ceil(w/2)) + C(n, floor(w/2)) summed for the join, C(n, w) summed
+    for the scan. It is the work a search reports when it stops at
+    ``max_weight``, so no run of that search does more."""
+    if join:
+        return sum(comb(n, (w + 1) // 2) + comb(n, w // 2) for w in range(1, max_weight + 1))
+    return sum(comb(n, w) for w in range(1, max_weight + 1))
+
+
+def check_cap(work: int, cap: int) -> None:
+    """Refuse, before anything is allocated, a search whose worst-case work exceeds ``cap``."""
+    if work > cap:
+        raise ResourceError(f"predicted work {work} exceeds cap {cap}")
+
+
+def lightest_by_join(
+    cols: list[int], n: int, target: int, max_weight: int, cap: int = DEFAULT_ENUM_CAP
+) -> tuple[tuple[int, BitVec] | None, int]:
+    """The lightest nonempty set of at most ``max_weight`` of the n columns
+    whose XOR is ``target``, as (weight, lex-least witness) or None, and the
+    work ``search_work(n, w, join=True)`` up to the last weight w tried.
+    ResourceError if that work can exceed ``cap``.
 
     The keys are rotated so that the target becomes tau = 1 (tau = 0 for a
     zero target), and weight w joins the sorted colex layers of sizes
@@ -138,13 +160,13 @@ def lightest_by_join(cols: list[int], n: int, target: int, cap: int) -> tuple[tu
     No lighter solution exists once weight w is reached, so every exact
     match is a pair of disjoint halves of a weight-w solution.
     """
+    bound = search_work(n, max_weight, True)
+    check_cap(bound, cap)
     keys = _keys64(cols + [target])
     keys, tau = (keys[:-1], 0) if keys[-1] == 0 else (_rotate(keys[:-1], int(keys[-1])), 1)
     prev = low = high = np.zeros(1, dtype=np.uint64)  # layer h - 1 in colex order, sorted layers h - 1 and h
-    work = 0
-    for w in range(1, cap + 1):
+    for w in range(1, max_weight + 1):
         h = (w + 1) // 2
-        work += comb(n, h) + comb(n, w // 2)
         if w > n:
             continue
         if w % 2:
@@ -162,25 +184,28 @@ def lightest_by_join(cols: list[int], n: int, target: int, cap: int) -> tuple[tu
         supports = (frozenset(p + q) for p, q in _halves(keys, h, prev, vals, tau, w % 2))
         found = {s for s in supports if len(s) == w and subset_syndrome(cols, s) == target}
         if found:
-            return (w, min((BitVec.from_support(n, s) for s in found), key=BitVec.lex_key)), work
-    return None, work
+            return (w, min((BitVec.from_support(n, s) for s in found), key=BitVec.lex_key)), search_work(n, w, True)
+    return None, bound
 
 
-def lightest_by_scan(cols: list[int], n: int, target: int, cap: int) -> tuple[tuple[int, BitVec] | None, int]:
-    """``lightest_by_join`` by streaming every colex layer up to ``cap``
-    through ``scan_layer``; the work is the number of subsets enumerated."""
+def lightest_by_scan(
+    cols: list[int], n: int, target: int, max_weight: int, cap: int = DEFAULT_ENUM_CAP
+) -> tuple[tuple[int, BitVec] | None, int]:
+    """``lightest_by_join`` by streaming every colex layer up to
+    ``max_weight`` through ``scan_layer``; the work is the number of subsets
+    enumerated, ``search_work(n, w, join=False)``."""
+    bound = search_work(n, max_weight, False)
+    check_cap(bound, cap)
     keys = _keys64(cols + [target])
     keys, key = keys[:-1], int(keys[-1])
     prev = np.zeros(1, dtype=np.uint64)
-    work = 0
-    for w in range(1, cap + 1):
-        hits, layer = scan_layer(keys, w, prev, key, keep=w < cap)
-        work += comb(n, w)
+    for w in range(1, max_weight + 1):
+        hits, layer = scan_layer(keys, w, prev, key, keep=w < max_weight)
         exact = [BitVec.from_support(n, s) for s in hits if subset_syndrome(cols, s) == target]
         if exact:
-            return (w, min(exact, key=BitVec.lex_key)), work
+            return (w, min(exact, key=BitVec.lex_key)), search_work(n, w, False)
         prev = layer
-    return None, work
+    return None, bound
 
 
 def _halves(keys: np.ndarray, h: int, prev: np.ndarray, vals: np.ndarray, tau: int, odd: int):
@@ -216,11 +241,14 @@ def _supports(chunks, w: int, vals: np.ndarray) -> dict[int, list[tuple[int, ...
     return found
 
 
-def mitm_kernel_min_weight(cols: list[int], n: int, cap: int) -> tuple[int, BitVec, int] | None:
-    """Smallest 1 <= w <= cap such that some w-subset of columns XORs to zero,
-    with the lex-least witness and the work C(n, ceil(w/2)) + C(n, floor(w/2))
-    summed over the weights tried; None if no such subset exists."""
-    found, work = lightest_by_join(cols, n, 0, cap)
+def mitm_kernel_min_weight(
+    cols: list[int], n: int, max_weight: int, cap: int = DEFAULT_ENUM_CAP
+) -> tuple[int, BitVec, int] | None:
+    """Smallest 1 <= w <= max_weight such that some w-subset of columns XORs
+    to zero, with the lex-least witness and the work ``search_work(n, w,
+    join=True)``; None if no such subset exists. ResourceError if the work
+    can exceed ``cap``."""
+    found, work = lightest_by_join(cols, n, 0, max_weight, cap)
     return None if found is None else (*found, work)
 
 
@@ -250,9 +278,11 @@ def span_blocks(basis: list[int], n: int):
         yield block, np.bitwise_count(block).sum(axis=1, dtype=np.int64)
 
 
-def span_min_weight(basis: list[int], n: int) -> tuple[int, int] | None:
+def span_min_weight(basis: list[int], n: int, cap: int = DEFAULT_ENUM_CAP) -> tuple[int, int] | None:
     """Minimum weight of a nonzero element of the span of the independent
-    ``basis`` and the lex-least element of that weight; None if it is empty."""
+    ``basis`` and the lex-least element of that weight; None if it is empty.
+    ResourceError if its 2^len(basis) - 1 nonzero elements exceed ``cap``."""
+    check_cap((1 << len(basis)) - 1, cap)
     best, ties = n + 1, []
     for block, weights in islice(span_blocks(basis, n), 1, None):
         w = int(weights.min())

@@ -12,7 +12,6 @@ import argparse
 import hashlib
 import math
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -53,25 +52,6 @@ EXIT_INPUT = 2
 EXIT_RESOURCE = 3
 
 
-@dataclass
-class RunConfig:
-    command: str
-    subcommand: str | None = None
-    in_path: str | None = None
-    out_path: str | None = None
-    kind: str | None = None
-    k: int | None = None
-    eps: float | None = None
-    delta: float | None = None
-    deg: int | None = None
-    walk_len: int | None = None
-    alg: str | None = None
-    seed: int = 0
-    cap: int | None = None
-    overrides: dict[str, str] = field(default_factory=dict)
-    format: str = "text"
-
-
 class Report:
     """Ordered key-value result lines, printable as text or machine lines."""
 
@@ -104,6 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--cap", type=int)
     common.add_argument("--override", action="append", default=[], metavar="KEY=VAL")
     common.add_argument("--format", choices=("text", "lines"), default="text")
+    common.set_defaults(subcommand=None)
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("gen-graph", parents=[common])
     reduce_p = sub.add_parser("reduce", parents=[common])
@@ -114,31 +95,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_args(argv) -> RunConfig:
-    ns = build_parser().parse_args(argv)
-    overrides = {}
-    for item in ns.override:
+def parse_args(argv) -> argparse.Namespace:
+    """The parsed flags, with the ``--override`` items as the dict ``overrides``."""
+    cfg = build_parser().parse_args(argv)
+    cfg.overrides = {}
+    for item in cfg.override:
         if "=" not in item:
             raise InputError(f"override {item!r} is not KEY=VAL")
         key, val = item.split("=", 1)
-        overrides[key.strip()] = val.strip()
-    return RunConfig(
-        command=ns.command,
-        subcommand=getattr(ns, "subcommand", None),
-        in_path=ns.in_path,
-        out_path=ns.out_path,
-        kind=ns.kind,
-        k=ns.k,
-        eps=ns.eps,
-        delta=ns.delta,
-        deg=ns.deg,
-        walk_len=ns.walk_len,
-        alg=ns.alg,
-        seed=ns.seed,
-        cap=ns.cap,
-        overrides=overrides,
-        format=ns.format,
-    )
+        cfg.overrides[key.strip()] = val.strip()
+    return cfg
 
 
 def _require(value, flag: str):
@@ -147,7 +113,7 @@ def _require(value, flag: str):
     return value
 
 
-def _override_int(cfg: RunConfig, key: str, default: int | None = None) -> int | None:
+def _override_int(cfg: argparse.Namespace, key: str, default: int | None = None) -> int | None:
     if key not in cfg.overrides:
         return default
     try:
@@ -156,7 +122,7 @@ def _override_int(cfg: RunConfig, key: str, default: int | None = None) -> int |
         raise InputError(f"override {key} must be an integer") from None
 
 
-def _override_float(cfg: RunConfig, key: str, default: float | None = None) -> float | None:
+def _override_float(cfg: argparse.Namespace, key: str, default: float | None = None) -> float | None:
     if key not in cfg.overrides:
         return default
     try:
@@ -165,12 +131,22 @@ def _override_float(cfg: RunConfig, key: str, default: float | None = None) -> f
         raise InputError(f"override {key} must be a number") from None
 
 
-def _load(cfg: RunConfig, kind: str):
+def _cap(cfg: argparse.Namespace) -> dict:
+    """``--cap`` as the ``cap`` keyword of a library call; unset, the library default holds."""
+    return {} if cfg.cap is None else {"cap": cfg.cap}
+
+
+def _verdict(report: Report, ok: bool) -> int:
+    report.add("verified", int(ok))
+    return EXIT_OK if ok else EXIT_REFUTED
+
+
+def _load(cfg: argparse.Namespace, kind: str):
     path = _require(cfg.in_path, "--in")
     return formats.parse_instance(path, kind)
 
 
-def _provenance(cfg: RunConfig, extra: str = "") -> list[str]:
+def _provenance(cfg: argparse.Namespace, extra: str = "") -> list[str]:
     parts = [f"sparsef2 {cfg.command}" + (f" {cfg.subcommand}" if cfg.subcommand else "")]
     if cfg.in_path:
         digest = hashlib.sha256(Path(cfg.in_path).read_bytes()).hexdigest()
@@ -188,12 +164,12 @@ def _provenance(cfg: RunConfig, extra: str = "") -> list[str]:
     return parts
 
 
-def _emit(cfg: RunConfig, obj, kind: str, extra: str = "") -> None:
+def _emit(cfg: argparse.Namespace, obj, kind: str, extra: str = "") -> None:
     path = _require(cfg.out_path, "--out")
     formats.write_instance(path, obj, kind, _provenance(cfg, extra))
 
 
-def _gen_graph(cfg: RunConfig, report: Report) -> int:
+def _gen_graph(cfg: argparse.Namespace, report: Report) -> int:
     n = _override_int(cfg, "n")
     if n is None:
         raise InputError("gen-graph needs --override n=<count>")
@@ -208,7 +184,7 @@ def _gen_graph(cfg: RunConfig, report: Report) -> int:
     return EXIT_OK
 
 
-def _evenset_config(cfg: RunConfig) -> EvenSetConfig:
+def _evenset_config(cfg: argparse.Namespace) -> EvenSetConfig:
     return EvenSetConfig(
         eps=cfg.eps if cfg.eps is not None else 0.1,
         c=_override_float(cfg, "c", 1.0),
@@ -220,7 +196,7 @@ def _evenset_config(cfg: RunConfig) -> EvenSetConfig:
     )
 
 
-def _reduce(cfg: RunConfig, report: Report) -> int:
+def _reduce(cfg: argparse.Namespace, report: Report) -> int:
     sub = cfg.subcommand
     if sub == "clique2vs":
         g = _load(cfg, "graph")
@@ -245,11 +221,7 @@ def _reduce(cfg: RunConfig, report: Report) -> int:
     elif sub == "viola":
         points = _load(cfg, "points")
         out = viola_shift(
-            points,
-            _require(cfg.deg, "--deg"),
-            cap=cfg.cap if cfg.cap is not None else 2_000_000,
-            sample_count=_override_int(cfg, "samples"),
-            seed=cfg.seed,
+            points, _require(cfg.deg, "--deg"), sample_count=_override_int(cfg, "samples"), seed=cfg.seed, **_cap(cfg)
         )
         _emit(cfg, out, "points")
         report.add("points", len(out))
@@ -260,14 +232,14 @@ def _reduce(cfg: RunConfig, report: Report) -> int:
             _require(cfg.eps, "--eps"),
             _require(cfg.deg, "--deg"),
             cfg.seed,
-            cap=cfg.cap if cfg.cap is not None else 2_000_000,
             sample_count=_override_int(cfg, "samples"),
+            **_cap(cfg),
         )
         _emit(cfg, out, "points")
         report.add("points", len(out))
     elif sub == "mdc-tensor":
         points = _load(cfg, "points")
-        out = mdc_tensor(BitMat.from_rows(points), _override_int(cfg, "power", 2))
+        out = mdc_tensor(BitMat.from_rows(points), _override_int(cfg, "power", 2), **_cap(cfg))
         _emit(cfg, [out.row(i) for i in range(out.rows)], "points")
         report.add("rows", out.rows).add("cols", out.cols)
     elif sub == "mdc-walk":
@@ -279,19 +251,12 @@ def _reduce(cfg: RunConfig, report: Report) -> int:
         t = _require(cfg.walk_len, "--walk-len")
         samples = _override_int(cfg, "samples")
         walks = graphs.sample_walks(g, t, samples, cfg.seed) if samples else None
-        out = mdc_walk_amplify(
-            BitMat.from_rows(points), g, t,
-            cap=cfg.cap if cfg.cap is not None else 2_000_000, walks=walks,
-        )
+        out = mdc_walk_amplify(BitMat.from_rows(points), g, t, walks=walks, **_cap(cfg))
         _emit(cfg, [out.row(i) for i in range(out.rows)], "points")
         report.add("rows", out.rows)
     elif sub == "mdc-learn":
         points = _load(cfg, "points")
-        out = mdc_to_learning(
-            BitMat.from_rows(points),
-            _require(cfg.deg, "--deg"),
-            cap=cfg.cap if cfg.cap is not None else 2_000_000,
-        )
+        out = mdc_to_learning(BitMat.from_rows(points), _require(cfg.deg, "--deg"), **_cap(cfg))
         _emit(cfg, out, "pointvalues")
         report.add("pairs", len(out))
     else:  # pragma: no cover - argparse restricts choices
@@ -299,24 +264,20 @@ def _reduce(cfg: RunConfig, report: Report) -> int:
     return EXIT_OK
 
 
-def _solve(cfg: RunConfig, report: Report) -> int:
+def _solve(cfg: argparse.Namespace, report: Report) -> int:
     kind = cfg.kind or ("evenset" if cfg.alg == "evenset-min" else "vectorsum")
     alg = cfg.alg or ("evenset-min" if kind == "evenset" else "exhaustive")
     if kind == "evenset":
         if alg != "evenset-min":
             raise InputError(f"algorithm {alg!r} does not apply to evenset instances")
         inst = _load(cfg, "evenset")
-        rep = solvers.evenset_min_weight(inst, sparse_cap=cfg.cap)
+        rep = solvers.evenset_min_weight(inst, **_cap(cfg))
     else:
         inst = _load(cfg, "vectorsum")
-        if alg == "exhaustive":
-            rep = solvers.solve_exhaustive(inst, **({"enum_cap": cfg.cap} if cfg.cap else {}))
-        elif alg == "mitm":
-            rep = solvers.solve_mitm(inst, **({"memory_cap": cfg.cap} if cfg.cap else {}))
-        elif alg == "bfs":
-            rep = solvers.solve_bfs(inst, **({"state_cap": cfg.cap} if cfg.cap else {}))
-        else:
+        solve = {"exhaustive": solvers.solve_exhaustive, "mitm": solvers.solve_mitm, "bfs": solvers.solve_bfs}.get(alg)
+        if solve is None:
             raise InputError(f"algorithm {alg!r} does not apply to vectorsum instances")
+        rep = solve(inst, **_cap(cfg))
     report.add("algorithm", rep.algorithm).add("feasible", int(rep.feasible))
     if rep.weight is not None:
         report.add("weight", rep.weight)
@@ -326,7 +287,7 @@ def _solve(cfg: RunConfig, report: Report) -> int:
     return EXIT_OK if rep.feasible else EXIT_REFUTED
 
 
-def _verify(cfg: RunConfig, report: Report) -> int:
+def _verify(cfg: argparse.Namespace, report: Report) -> int:
     sub = cfg.subcommand
     if sub == "balance":
         dim = _require(cfg.k, "--k")
@@ -335,77 +296,56 @@ def _verify(cfg: RunConfig, report: Report) -> int:
         weights = sorted({cw.weight() for cw in code.codewords() if not cw.is_zero()})
         ok = (0.5 - eps) * code.length <= weights[0] and weights[-1] <= (0.5 + eps) * code.length
         report.add("length", code.length).add("min_weight", weights[0]).add("max_weight", weights[-1])
-        report.add("verified", int(ok))
-        return EXIT_OK if ok else EXIT_REFUTED
+        return _verdict(report, ok)
     if sub == "bch":
         n = _override_int(cfg, "n")
         if n is None:
             raise InputError("verify bch needs --override n=<length>")
         delta = int(_require(cfg.delta, "--delta"))
         r = codes.bch_parity_check(n, delta)
-        states = sum(math.comb(n, w) for w in range(1, delta))
-        if cfg.cap is not None and states > cfg.cap:
-            raise ResourceError(f"{states} low-weight vectors exceed cap {cfg.cap}")
-        ok = mitm_kernel_min_weight(r.col_bits(), n, delta - 1) is None
-        report.add("rows", r.rows).add("cols", r.cols).add("verified", int(ok))
-        return EXIT_OK if ok else EXIT_REFUTED
+        ok = mitm_kernel_min_weight(r.col_bits(), n, delta - 1, **_cap(cfg)) is None
+        report.add("rows", r.rows).add("cols", r.cols)
+        return _verdict(report, ok)
     if sub == "density":
         code = _load(cfg, "code")
-        ok, witness = codes.product_density_check(
-            code, **({"cap": cfg.cap} if cfg.cap is not None else {})
-        )
+        ok, witness = codes.product_density_check(code, **_cap(cfg))
         report.add("distance", code.dist_cert.d).add("bound", math.ceil(1.5 * code.dist_cert.d**2))
         if witness is not None:
             report.add("witness_weight", sum(r.bit_count() for r in witness.row_bits))
-        report.add("verified", int(ok))
-        return EXIT_OK if ok else EXIT_REFUTED
+        return _verdict(report, ok)
     if sub == "bias":
         points = _load(cfg, "points")
-        bias = codes.distribution_bias(points, _require(cfg.k, "--k"))
+        bias = codes.distribution_bias(points, _require(cfg.k, "--k"), **_cap(cfg))
         report.add("bias", f"{bias:.6f}")
-        if cfg.eps is not None:
-            ok = bias <= cfg.eps
-            report.add("verified", int(ok))
-            return EXIT_OK if ok else EXIT_REFUTED
-        return EXIT_OK
+        return EXIT_OK if cfg.eps is None else _verdict(report, bias <= cfg.eps)
     if sub == "parity":
         pv = _load(cfg, "pointvalues")
-        form, frac = solvers.best_parity_agreement(pv, _require(cfg.k, "--k"))
+        form, frac = solvers.best_parity_agreement(pv, _require(cfg.k, "--k"), **_cap(cfg))
         report.add("agreement", f"{float(frac):.6f}").add("support", ",".join(map(str, form.support())))
-        if cfg.eps is not None:
-            ok = frac == 1 or frac <= Fraction(1, 2) + Fraction(cfg.eps).limit_denominator(10**9)
-            report.add("verified", int(ok))
-            return EXIT_OK if ok else EXIT_REFUTED
-        return EXIT_OK
+        if cfg.eps is None:
+            return EXIT_OK
+        return _verdict(report, frac == 1 or frac <= Fraction(1, 2) + Fraction(cfg.eps).limit_denominator(10**9))
     if sub == "junta":
         pv = _load(cfg, "pointvalues")
-        frac = solvers.best_junta_agreement(pv, _require(cfg.k, "--k"))
+        frac = solvers.best_junta_agreement(pv, _require(cfg.k, "--k"), **_cap(cfg))
         report.add("agreement", f"{float(frac):.6f}")
-        if cfg.delta is not None:
-            ok = frac == 1 or frac <= Fraction(1, 2) + Fraction(cfg.delta).limit_denominator(10**9)
-            report.add("verified", int(ok))
-            return EXIT_OK if ok else EXIT_REFUTED
-        return EXIT_OK
+        if cfg.delta is None:
+            return EXIT_OK
+        return _verdict(report, frac == 1 or frac <= Fraction(1, 2) + Fraction(cfg.delta).limit_denominator(10**9))
     if sub == "poly":
         points = _load(cfg, "points")
-        poly, adv = solvers.poly_agreement_bound(points, _require(cfg.k, "--k"), _require(cfg.deg, "--deg"))
+        k, deg = _require(cfg.k, "--k"), _require(cfg.deg, "--deg")
+        poly, adv = solvers.poly_agreement_bound(points, k, deg, **_cap(cfg))
         report.add("advantage", f"{float(adv):.6f}")
-        if cfg.delta is not None:
-            ok = adv <= Fraction(cfg.delta).limit_denominator(10**9)
-            report.add("verified", int(ok))
-            return EXIT_OK if ok else EXIT_REFUTED
-        return EXIT_OK
+        return EXIT_OK if cfg.delta is None else _verdict(report, adv <= Fraction(cfg.delta).limit_denominator(10**9))
     if sub == "roundtrip":
         kind = _require(cfg.kind, "--kind")
         obj = _load(cfg, kind)
-        again = formats.loads(formats.dumps(obj, kind), kind)
-        ok = again == obj
-        report.add("verified", int(ok))
-        return EXIT_OK if ok else EXIT_REFUTED
+        return _verdict(report, formats.loads(formats.dumps(obj, kind), kind) == obj)
     raise InputError(f"unknown check {sub!r}")  # pragma: no cover
 
 
-def run(cfg: RunConfig) -> tuple[int, str]:
+def run(cfg: argparse.Namespace) -> tuple[int, str]:
     """Execute one command; returns (exit code, rendered report)."""
     report = Report()
     if cfg.command == "gen-graph":

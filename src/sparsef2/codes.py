@@ -8,7 +8,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations, islice
 
-from ._search import block_ints, span_blocks, span_min_weight
+from ._search import FULL_ENUM_DIM, block_ints, span_blocks, span_min_weight
 from ._search import mitm_kernel_min_weight as _mitm_kernel_min_weight
 from .errors import (
     DimensionError,
@@ -22,7 +22,6 @@ from .f2 import BitMat, BitVec, mat_mul, nullspace_basis, rank
 DEFAULT_BALANCE_DIM_CAP = 20
 DEFAULT_DENSITY_CAP = 1 << 20
 DEFAULT_BIAS_CAP = 50_000_000
-DEFAULT_DIM_CAP = 24
 
 # Primitive polynomials over GF(2), LSB-first bit encoding including the x^m term.
 _PRIMITIVE_POLY = {
@@ -314,12 +313,13 @@ def tensor_parity_check(code: LinearCode) -> BitMat:
     return BitMat.from_bitrows(rows, n * n)
 
 
-def min_distance(code: LinearCode, weight_cap: int | None = None, dim_cap: int = DEFAULT_DIM_CAP) -> int:
+def min_distance(code: LinearCode, weight_cap: int | None = None, dim_cap: int = FULL_ENUM_DIM) -> int:
     """Minimum weight of a nonzero codeword; attaches a distance certificate.
 
     Exhaustive over all 2^dim - 1 codewords by default; with ``weight_cap``
     set, runs a meet-in-the-middle search over the parity-check kernel
-    instead and certifies min weight only if it is <= the cap.
+    instead (refused if its work exceeds the search core's default cap) and
+    certifies min weight only if it is <= ``weight_cap``.
     """
     if weight_cap is not None:
         h = code.require_parity_check()
@@ -346,27 +346,24 @@ def product_density_check(
     Members are Y = G X G^T for k x k messages X. G has independent columns,
     so X = L Y L^T for a left inverse L: Y is symmetric iff X is, and then
     diag(Y) = G diag(X). The members checked are therefore exactly the
-    nonzero elements of the span of g_a g_b^T + g_b g_a^T over a < b.
+    nonzero elements of the span of g_a g_b^T + g_b g_a^T over a < b, and
+    ``cap`` bounds their number, 2^C(k, 2) - 1.
     """
-    gen = code.require_generator()
     k, n = code.dim, code.length
-    if 1 << (k * k) > cap:
-        raise ResourceError(f"2^{k * k} message matrices exceed cap {cap}")
-    if code.dist_cert is None:
-        min_distance(code)
-    bound = math.ceil(1.5 * code.dist_cert.d**2)
-    gcols = gen.col_bits()
+    gcols = code.require_generator().col_bits()
     # g_a g_b^T flattened row-major: row r is g_b where g_a has a 1.
     rows_of = [[r for r in range(n) if g >> r & 1] for g in gcols]
     outer = {(a, b): sum(gcols[b] << (r * n) for r in rows_of[a]) for a in range(k) for b in range(k)}
     pairs = [outer[a, b] ^ outer[b, a] for a, b in combinations(range(k), 2)]
-    found = span_min_weight(pairs, n * n)
+    found = span_min_weight(pairs, n * n, cap)
+    if code.dist_cert is None:
+        min_distance(code)
     if found is None:
         return True, None
     # Row-major flattening: lex order of the flat vector is lex order of the row tuple.
     best_w, flat = found
     witness = BitMat.from_bitrows([(flat >> (r * n)) & ((1 << n) - 1) for r in range(n)], n)
-    return best_w >= bound, witness
+    return best_w >= math.ceil(1.5 * code.dist_cert.d**2), witness
 
 
 def distribution_bias(points: list[BitVec], support_cap: int, cap: int = DEFAULT_BIAS_CAP) -> float:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .._search import span_min_weight
+from .._search import FULL_ENUM_DIM, span_min_weight
 from ..codes import balanced_code, bch_parity_check, tensor_parity_check
 from ..errors import ConfigError, InputError, WitnessError
 from ..f2 import BitMat, BitVec, mat_mul, mat_vec_mul, nullspace_basis
@@ -115,14 +115,14 @@ class EvenSetLayout:
             )
 
 
-def _kernel_min_weight(m: BitMat, dim_cap: int = 24) -> float:
+def _kernel_min_weight(m: BitMat) -> float:
     """Exact minimum kernel weight, or +inf for a trivial kernel."""
     basis = [v.bits for v in nullspace_basis(m)]
     if not basis:
         return math.inf
-    if len(basis) > dim_cap:
+    if len(basis) > FULL_ENUM_DIM:
         raise ConfigError(
-            f"cannot certify sketch distance: kernel dimension {len(basis)} exceeds {dim_cap}"
+            f"cannot certify sketch distance: kernel dimension {len(basis)} exceeds {FULL_ENUM_DIM}"
         )
     return float(span_min_weight(basis, m.cols)[0])
 

@@ -12,13 +12,19 @@ from math import comb
 
 import numpy as np
 
-from ._search import lightest_by_join, lightest_by_scan, mitm_kernel_min_weight, span_min_weight
+from ._search import (
+    DEFAULT_ENUM_CAP,
+    FULL_ENUM_DIM,
+    lightest_by_join,
+    lightest_by_scan,
+    mitm_kernel_min_weight,
+    search_work,
+    span_min_weight,
+)
 from .errors import InputError, ResourceError, ValidationError
 from .f2 import BitVec, nullspace_basis
 from .instances import EvenSetInstance, PointValueSet, VectorSumInstance
 
-DEFAULT_ENUM_CAP = 80_000_000
-DEFAULT_MEMORY_CAP = 45_000_000
 DEFAULT_BFS_CAP = 1 << 22
 
 
@@ -54,56 +60,43 @@ def _zero_solution(inst: VectorSumInstance, algorithm: str) -> SolveReport | Non
     return None
 
 
-def _search_states(n: int, k: int) -> int:
-    return sum(comb(n, w) for w in range(k + 1))
-
-
-def solve_exhaustive(inst: VectorSumInstance, enum_cap: int = DEFAULT_ENUM_CAP) -> SolveReport:
+def solve_exhaustive(inst: VectorSumInstance, cap: int = DEFAULT_ENUM_CAP) -> SolveReport:
     """Enumerate all vectors of weight <= k by increasing weight; exact.
 
     Each colex layer is streamed once (``_search.lightest_by_scan``). Reports
     the minimal-weight solution, lex-least (coordinate-0-first 01-string
-    order) among ties; the work is the number of vectors enumerated.
+    order) among ties; the work is the number of vectors enumerated, and a
+    search whose work can exceed ``cap`` is refused before it starts.
     """
-    n, k = inst.m.cols, min(inst.k, inst.m.cols)
-    states = _search_states(n, k)
-    if states > enum_cap:
-        raise ResourceError(f"{states} candidate vectors exceed enumeration cap {enum_cap}")
     early = _zero_solution(inst, "exhaustive")
     if early is not None:
         return early
-    return _report(inst, *lightest_by_scan(inst.m.col_bits(), n, inst.b.bits, k), "exhaustive")
+    n = inst.m.cols
+    return _report(inst, *lightest_by_scan(inst.m.col_bits(), n, inst.b.bits, min(inst.k, n), cap), "exhaustive")
 
 
-def solve_mitm(
-    inst: VectorSumInstance,
-    enum_cap: int = DEFAULT_ENUM_CAP,
-    memory_cap: int = DEFAULT_MEMORY_CAP,
-) -> SolveReport:
+def solve_mitm(inst: VectorSumInstance, cap: int = DEFAULT_ENUM_CAP) -> SolveReport:
     """Meet in the middle (``_search.lightest_by_join``): for w = 1, 2, ..., k
     the sorted colex layers of ceil(w/2) and floor(w/2) columns are joined on
     syndromes that XOR to b. Same feasibility, weight and lex-least witness
     as exhaustive; the work is C(n, ceil(w/2)) + C(n, floor(w/2)) summed
-    over the weights tried."""
-    n, k = inst.m.cols, min(inst.k, inst.m.cols)
-    half = (k + 1) // 2
-    table_states = _search_states(n, half)
-    if table_states > memory_cap:
-        raise ResourceError(f"{table_states} table entries exceed memory cap {memory_cap}")
-    if 2 * table_states > enum_cap:
-        raise ResourceError(f"meet-in-the-middle work exceeds enumeration cap {enum_cap}")
+    over the weights tried, and a search whose work can exceed ``cap`` is
+    refused before it starts."""
     early = _zero_solution(inst, "mitm")
     if early is not None:
         return early
-    return _report(inst, *lightest_by_join(inst.m.col_bits(), n, inst.b.bits, k), "mitm")
+    n = inst.m.cols
+    return _report(inst, *lightest_by_join(inst.m.col_bits(), n, inst.b.bits, min(inst.k, n), cap), "mitm")
 
 
-def solve_bfs(inst: VectorSumInstance, state_cap: int = DEFAULT_BFS_CAP) -> SolveReport:
+def solve_bfs(inst: VectorSumInstance, cap: int = DEFAULT_BFS_CAP) -> SolveReport:
     """Breadth-first search over the syndrome space F2^m with columns as edge
-    labels; path labels with even repetitions cancelled form the witness."""
+    labels; path labels with even repetitions cancelled form the witness.
+    The work is the number of states visited, at most 2^m, which ``cap``
+    bounds."""
     m, n, k = inst.m.rows, inst.m.cols, inst.k
-    if 1 << m > state_cap:
-        raise ResourceError(f"2^{m} syndrome states exceed cap {state_cap}")
+    if 1 << m > cap:
+        raise ResourceError(f"2^{m} syndrome states exceed cap {cap}")
     early = _zero_solution(inst, "bfs")
     if early is not None:
         return early
@@ -149,33 +142,36 @@ def solve_bfs(inst: VectorSumInstance, state_cap: int = DEFAULT_BFS_CAP) -> Solv
 def evenset_min_weight(
     inst: EvenSetInstance,
     sparse_cap: int | None = None,
-    dim_cap: int = 24,
+    dim_cap: int = FULL_ENUM_DIM,
+    cap: int = DEFAULT_ENUM_CAP,
 ) -> SolveReport:
     """Minimum weight of a nonzero kernel vector; feasible iff it is <= k.
 
-    Enumerates the whole kernel when its dimension is at most ``dim_cap``;
-    otherwise a meet-in-the-middle search up to ``sparse_cap`` is required,
-    and a cap below k that finds nothing raises ResourceError.
+    Enumerates the whole kernel (work 2^dim - 1) when its dimension is at
+    most ``dim_cap``; otherwise a meet-in-the-middle search runs up to the
+    weight ``sparse_cap`` (default k), and a bound below k that finds
+    nothing raises ResourceError. A search whose work can exceed ``cap`` is
+    refused before it starts.
     """
     n = inst.m.cols
     basis = [v.bits for v in nullspace_basis(inst.m)]
-    if not basis:
-        return SolveReport(False, None, None, "kernel-enum", 1)
     if len(basis) <= dim_cap:
-        best_w, bits = span_min_weight(basis, n)
+        found = span_min_weight(basis, n, cap)
+        work = (1 << len(basis)) - 1
+        if found is None:
+            return SolveReport(False, None, None, "kernel-enum", work)
+        best_w, bits = found
         witness = BitVec(n, bits)
         feasible = best_w <= inst.k
         if feasible and not inst.accepts(witness):
             raise ValidationError("kernel enumeration produced a non-solution; this is a bug")
-        return SolveReport(feasible, witness, best_w, "kernel-enum", (1 << len(basis)) - 1)
-    if sparse_cap is None:
-        raise ResourceError(f"kernel dimension {len(basis)} exceeds {dim_cap}; supply a sparse search cap")
-    found = mitm_kernel_min_weight(inst.m.col_bits(), n, sparse_cap)
+        return SolveReport(feasible, witness, best_w, "kernel-enum", work)
+    sparse_cap = inst.k if sparse_cap is None else sparse_cap
+    found = mitm_kernel_min_weight(inst.m.col_bits(), n, sparse_cap, cap)
     if found is None:
         if sparse_cap < inst.k:
             raise ResourceError(f"no kernel vector of weight <= {sparse_cap}; weights up to k={inst.k} not searched")
-        work = 2 * _search_states(n, (sparse_cap + 1) // 2)
-        return SolveReport(False, None, None, "mitm-sparse", work)
+        return SolveReport(False, None, None, "mitm-sparse", search_work(n, sparse_cap, True))
     w, witness, work = found
     feasible = w <= inst.k
     if feasible and not inst.accepts(witness):

@@ -1,16 +1,24 @@
 """End-to-end command-line runs: pipelines, exit codes, determinism."""
 
+import io
+import math
 import random
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
-from sparsef2 import codes
+from sparsef2 import _search, codes
 from sparsef2.cli import main
+from sparsef2.errors import ResourceError
 from sparsef2.f2 import BitMat, BitVec, mat_vec_mul, rank
 from sparsef2.formats import parse_instance, write_instance
 from sparsef2.graphs import Graph
 from sparsef2.instances import EvenSetInstance, VectorSumInstance
+from sparsef2.solvers import evenset_min_weight
 
 
 def run_cli(*args):
@@ -62,19 +70,25 @@ def test_verify_bch_and_balance(capsys):
 
 
 def test_evenset_cap_below_k_refuses(tmp_path, capsys):
-    """A sparse search cap below k that finds nothing has not searched
-    weights cap+1..k, so it must refuse rather than report infeasible."""
+    """A sparse search bound below k that finds nothing has not searched
+    weights bound+1..k, so the library must refuse rather than report
+    infeasible; the CLI searches up to k, and ``--cap`` bounds its work."""
     rng = random.Random(3)
     rows = [rng.getrandbits(40) for _ in range(14)]
     rows = [(r & ~(1 << 14)) | ((r ^ r >> 1) & 1) << 14 for r in rows]  # col 14 = col 0 + col 1
     m = BitMat.from_bitrows(rows, 40)
-    assert 40 - rank(m) == 26  # above the full-enumeration cap, so the sparse search runs
+    assert 40 - rank(m) == 26  # above the full-enumeration dimension, so the sparse search runs
+    inst = EvenSetInstance(m, 6)
+    with pytest.raises(ResourceError):
+        evenset_min_weight(inst, sparse_cap=2)
     path = tmp_path / "cols.es"
-    write_instance(path, EvenSetInstance(m, 6), "evenset")
-    assert run_cli("solve", "--in", str(path), "--alg", "evenset-min", "--cap", "2") == 3
-    assert run_cli("solve", "--in", str(path), "--alg", "evenset-min", "--cap", "3", "--format", "lines") == 0
+    write_instance(path, inst, "evenset")
+    assert run_cli("solve", "--in", str(path), "--alg", "evenset-min", "--format", "lines") == 0
     out = capsys.readouterr().out
     assert "feasible=1" in out and "weight=3" in out
+    work = int(out.split("work=")[1])
+    assert run_cli("solve", "--in", str(path), "--alg", "evenset-min", "--cap", str(work - 1)) == 3
+    assert f"exceeds cap {work - 1}" in capsys.readouterr().err
 
 
 _BCH = codes.bch_parity_check
@@ -221,3 +235,75 @@ def test_mdc_cli_pipeline(tmp_path):
                    "--out", str(learn)) == 0
     pv = parse_instance(learn, "pointvalues")
     assert len(pv) == len(amplified_rows) and pv.dim == 8
+
+
+def _join_work(n, max_weight):
+    return sum(math.comb(n, (w + 1) // 2) + math.comb(n, w // 2) for w in range(1, max_weight + 1))
+
+
+def _no_layers(*args, **kwargs):
+    raise AssertionError("a layer was built before the cap was checked")
+
+
+@pytest.mark.parametrize("cap", [None, "6"])
+def test_oversized_evenset_search_refused_before_any_layer(tmp_path, capsys, monkeypatch, cap):
+    """A 64 x 3000 system at k = 6 needs about 1.35e10 join steps; it is refused
+    (exit 3) with the predicted work and the cap, without building a layer."""
+    rng = random.Random(1)
+    path = tmp_path / "wide.es"
+    m = BitMat.from_bitrows([rng.getrandbits(3000) for _ in range(64)], 3000)
+    write_instance(path, EvenSetInstance(m, 6), "evenset")
+    monkeypatch.setattr(_search, "next_layer", _no_layers)
+    monkeypatch.setattr(_search, "_layer_chunks", _no_layers)
+    argv = ["solve", "--in", str(path), "--alg", "evenset-min"] + (["--cap", cap] if cap else [])
+    assert run_cli(*argv) == 3
+    assert f"predicted work {_join_work(3000, 6)} exceeds cap {cap or 80_000_000}" in capsys.readouterr().err
+
+
+def test_oversized_verify_bch_refused_before_any_layer(capsys, monkeypatch):
+    monkeypatch.setattr(_search, "next_layer", _no_layers)
+    monkeypatch.setattr(_search, "_layer_chunks", _no_layers)
+    assert run_cli("verify", "bch", "--override", "n=3000", "--delta", "7") == 3
+    assert f"predicted work {_join_work(3000, 6)} exceeds cap 80000000" in capsys.readouterr().err
+
+
+def _run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        status = main(argv)
+    return status, out.getvalue(), err.getvalue()
+
+
+@st.composite
+def infeasible_candidates(draw):
+    """(alg, instance kind, instance): small vector-sum systems, small even-set
+    systems (full kernel enumeration) and even-set systems whose kernel
+    dimension exceeds 24 (sparse search)."""
+    alg = draw(st.sampled_from(["exhaustive", "mitm", "evenset-min", "evenset-wide"]))
+    if alg == "evenset-wide":
+        rows, cols, k = draw(st.integers(12, 16)), draw(st.integers(41, 44)), draw(st.integers(1, 2))
+    else:
+        rows, cols, k = draw(st.integers(1, 8)), draw(st.integers(1, 14)), draw(st.integers(1, 4))
+    m = BitMat.from_bitrows([draw(st.integers(0, (1 << cols) - 1)) for _ in range(rows)], cols)
+    if alg.startswith("evenset"):
+        return "evenset-min", "evenset", EvenSetInstance(m, k)
+    return alg, "vectorsum", VectorSumInstance(m, BitVec(rows, draw(st.integers(1, (1 << rows) - 1))), k)
+
+
+@settings(max_examples=60, deadline=None, database=None, suppress_health_check=[HealthCheck.too_slow])
+@given(infeasible_candidates())
+def test_cap_bounds_the_reported_work(case):
+    """On every infeasible instance, ``--cap W`` with W the reported work
+    reproduces the uncapped output, and ``--cap W-1`` is refused."""
+    alg, kind, inst = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/inst"
+        write_instance(path, inst, kind)
+        argv = ["solve", "--in", path, "--alg", alg, "--format", "lines"]
+        status, out, _ = _run_captured(argv)
+        assert status in (0, 1, 2, 3)
+        assume(status == 1)
+        work = int(out.split("work=")[1])
+        assert _run_captured(argv + ["--cap", str(work)]) == (1, out, "")
+        status, out, err = _run_captured(argv + ["--cap", str(work - 1)])
+        assert (status, out) == (3, "") and f"exceeds cap {work - 1}" in err

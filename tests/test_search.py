@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from sparsef2 import _search
 from sparsef2._search import colex_unrank, mitm_kernel_min_weight, span_min_weight
-from sparsef2.codes import LinearCode, product_density_check
+from sparsef2.codes import LinearCode, product_density_check, simplex_generator
+from sparsef2.errors import ResourceError
 from sparsef2.f2 import BitMat, BitVec, rank
 
 SETTINGS = settings(max_examples=40, deadline=None, database=None, suppress_health_check=[HealthCheck.too_slow])
@@ -196,3 +197,15 @@ def test_product_density_matches_reference_loop(k, extra, rnd):
     else:
         assert witness == BitMat.from_bitrows(best[2], n)
         assert ok == (best[0] >= math.ceil(1.5 * code.dist_cert.d**2))
+
+
+def test_product_density_cap_counts_the_span_members():
+    """The cap bounds the 2^C(k, 2) - 1 nonzero members the check enumerates,
+    not the 2^(k^2) message matrices: k = 5 and 6 fit the default 2^20."""
+    for k in (5, 6):
+        code = simplex_generator(k)
+        assert product_density_check(code) == product_density_check(code, cap=(1 << math.comb(k, 2)) - 1)
+        with pytest.raises(ResourceError, match=f"predicted work {(1 << math.comb(k, 2)) - 1} exceeds cap"):
+            product_density_check(code, cap=(1 << math.comb(k, 2)) - 2)
+    with pytest.raises(ResourceError):
+        product_density_check(LinearCode.from_generator(BitMat.identity(7)))

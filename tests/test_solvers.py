@@ -187,11 +187,11 @@ def test_resource_caps():
     m = BitMat.zeros(2, 60)
     inst = VectorSumInstance(m, BitVec.from01("11"), 5)
     with pytest.raises(ResourceError):
-        solve_exhaustive(inst, enum_cap=100)
+        solve_exhaustive(inst, cap=100)
     with pytest.raises(ResourceError):
-        solve_mitm(inst, memory_cap=10)
+        solve_mitm(inst, cap=10)
     with pytest.raises(ResourceError):
-        solve_bfs(VectorSumInstance(BitMat.zeros(30, 3), BitVec.zeros(30) ^ BitVec.unit(30, 0), 2), state_cap=1000)
+        solve_bfs(VectorSumInstance(BitMat.zeros(30, 3), BitVec.zeros(30) ^ BitVec.unit(30, 0), 2), cap=1000)
 
 
 def test_evenset_small_kernel():
