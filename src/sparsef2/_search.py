@@ -28,6 +28,8 @@ DEFAULT_ENUM_CAP = 80_000_000
 # Kernels and codes of at most this dimension are enumerated in full.
 FULL_ENUM_DIM = 24
 _LOW_GENERATORS = 16
+# scan_layer refuses to collect more equal-weight hits than this.
+_TIE_CAP = 1 << 20
 _SKETCH_SEED = 0x5F2
 _BLOCK = 1 << 16
 # Odd multiplier of the hash whose top 16 bits index the filter in _supports.
@@ -82,7 +84,7 @@ def _layer_chunks(cols: np.ndarray, w: int, prev: np.ndarray, layer: np.ndarray 
 
 
 def scan_layer(
-    cols: np.ndarray, w: int, prev: np.ndarray, target: int, keep: bool, tie_cap: int = 1 << 20
+    cols: np.ndarray, w: int, prev: np.ndarray, target: int, keep: bool
 ) -> tuple[list[tuple[int, ...]], np.ndarray | None]:
     """One streamed pass over the exact-w layer.
 
@@ -95,8 +97,8 @@ def scan_layer(
     for start, chunk in _layer_chunks(cols, w, prev, layer):
         for p in np.flatnonzero(chunk == t):
             hits.append(colex_unrank(start + int(p), w))
-            if len(hits) > tie_cap:
-                raise ResourceError(f"more than {tie_cap} equal-weight solutions; raise the tie cap")
+            if len(hits) > _TIE_CAP:
+                raise ResourceError(f"more than {_TIE_CAP} equal-weight solutions")
     return hits, layer
 
 

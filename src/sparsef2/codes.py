@@ -8,7 +8,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations, islice
 
-from ._search import FULL_ENUM_DIM, block_ints, span_blocks, span_min_weight
+from ._search import DEFAULT_ENUM_CAP, FULL_ENUM_DIM, block_ints, span_blocks, span_min_weight
 from ._search import mitm_kernel_min_weight as _mitm_kernel_min_weight
 from .errors import (
     DimensionError,
@@ -19,9 +19,14 @@ from .errors import (
 )
 from .f2 import BitMat, BitVec, mat_mul, nullspace_basis, rank
 
-DEFAULT_BALANCE_DIM_CAP = 20
+# balanced_code certifies dimensions up to BALANCE_DIM_CAP, tries lengths up
+# to BALANCE_LENGTH_FACTOR * dim / eps^3, and draws BALANCE_TRIES generators
+# per length (BALANCE_TRIES_AT_LENGTH at a length the caller gives).
+BALANCE_DIM_CAP = 20
+BALANCE_LENGTH_FACTOR = 4.0
+BALANCE_TRIES = 60
+BALANCE_TRIES_AT_LENGTH = 2000
 DEFAULT_DENSITY_CAP = 1 << 20
-DEFAULT_BIAS_CAP = 50_000_000
 
 # Primitive polynomials over GF(2), LSB-first bit encoding including the x^m term.
 _PRIMITIVE_POLY = {
@@ -218,27 +223,25 @@ def balanced_code(
     eps: float,
     seed: int,
     length: int | None = None,
-    c_bal: float = 4.0,
-    dim_cap: int = DEFAULT_BALANCE_DIM_CAP,
-    tries_per_length: int = 60,
 ) -> LinearCode:
     """Rejection-sampled generator whose nonzero codewords all have normalized
     weight within eps of 1/2, certified by full enumeration.
 
     With ``length`` unset, the length starts near the coupon-collector bound
-    ln(2^(dim+1))/(2 eps^2) and grows geometrically up to ceil(c_bal*dim/eps^3).
+    ln(2^(dim+1))/(2 eps^2) and grows geometrically up to
+    ceil(BALANCE_LENGTH_FACTOR*dim/eps^3).
     """
     if dim < 1:
         raise InputError(f"dimension {dim} must be >= 1")
-    if dim > dim_cap:
-        raise ResourceError(f"dimension {dim} exceeds exhaustive-verification cap {dim_cap}")
+    if dim > BALANCE_DIM_CAP:
+        raise ResourceError(f"dimension {dim} exceeds exhaustive-verification cap {BALANCE_DIM_CAP}")
     if eps <= 0:
         raise InputError(f"bias {eps} must be positive")
     rng = random.Random(seed)
-    t_max = math.ceil(c_bal * dim / eps**3)
+    t_max = math.ceil(BALANCE_LENGTH_FACTOR * dim / eps**3)
+    tries = BALANCE_TRIES
     if length is not None:
-        schedule = [length]
-        tries_per_length = max(tries_per_length, 2000)
+        schedule, tries = [length], BALANCE_TRIES_AT_LENGTH
     else:
         t = max(dim, math.ceil(math.log(2 ** (dim + 1)) / (2 * eps * eps)))
         t = min(t, t_max)
@@ -249,7 +252,7 @@ def balanced_code(
                 break
             t = min(t_max, max(t + 1, int(t * 1.3)))
     for t in schedule:
-        for _ in range(tries_per_length):
+        for _ in range(tries):
             gen = BitMat.from_bitrows([rng.getrandbits(dim) for _ in range(t)], dim)
             cert = _certify_balance(gen, eps)
             if cert is None:
@@ -264,7 +267,7 @@ def balanced_code(
             )
     raise GenerationError(
         f"no {eps}-balanced generator found for dim={dim} within length cap {t_max}; "
-        f"raise c_bal or use simplex_generator"
+        f"use simplex_generator"
     )
 
 
@@ -313,7 +316,7 @@ def tensor_parity_check(code: LinearCode) -> BitMat:
     return BitMat.from_bitrows(rows, n * n)
 
 
-def min_distance(code: LinearCode, weight_cap: int | None = None, dim_cap: int = FULL_ENUM_DIM) -> int:
+def min_distance(code: LinearCode, weight_cap: int | None = None) -> int:
     """Minimum weight of a nonzero codeword; attaches a distance certificate.
 
     Exhaustive over all 2^dim - 1 codewords by default; with ``weight_cap``
@@ -330,8 +333,8 @@ def min_distance(code: LinearCode, weight_cap: int | None = None, dim_cap: int =
         code.dist_cert = DistanceCert(w, f"mitm-cap-{weight_cap}", witness)
         return w
     gen = code.require_generator()
-    if code.dim > dim_cap:
-        raise ResourceError(f"dimension {code.dim} exceeds exhaustive cap {dim_cap}; supply weight_cap")
+    if code.dim > FULL_ENUM_DIM:
+        raise ResourceError(f"dimension {code.dim} exceeds exhaustive cap {FULL_ENUM_DIM}; supply weight_cap")
     best_w, bits = span_min_weight(gen.col_bits(), code.length)
     code.dist_cert = DistanceCert(best_w, "exhaustive", BitVec(code.length, bits))
     return best_w
@@ -366,7 +369,7 @@ def product_density_check(
     return best_w >= math.ceil(1.5 * code.dist_cert.d**2), witness
 
 
-def distribution_bias(points: list[BitVec], support_cap: int, cap: int = DEFAULT_BIAS_CAP) -> float:
+def distribution_bias(points: list[BitVec], support_cap: int, cap: int = DEFAULT_ENUM_CAP) -> float:
     """Max over nonzero linear forms on <= support_cap variables of |avg (-1)^l(z)|."""
     if not points:
         raise InputError("empty point set")

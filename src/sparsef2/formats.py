@@ -51,10 +51,11 @@ def _ints(line: str, count: int, lineno: int, what: str) -> list[int]:
         raise ParseError(f"non-integer field in {what}", lineno) from None
 
 
-def _bits(token: str, n: int, lineno: int) -> BitVec:
+def _bits(token: str, n: int, lineno: int) -> int:
+    """An n-character 01 string as the int whose bit i is character i."""
     if len(token) != n or token.strip("01"):
         raise ParseError(f"expected {n} bits, got {token!r}", lineno)
-    return BitVec(n, int(token[::-1], 2) if n else 0)
+    return int(token[::-1], 2) if n else 0
 
 
 def _header(lines: Iterable[str]) -> str:
@@ -97,7 +98,7 @@ def _read_matrix(cur: _Lines) -> BitMat:
     bits = []
     for _ in range(rows):
         lineno, line = cur.next("a matrix row")
-        bits.append(_bits(line, cols, lineno).bits)
+        bits.append(_bits(line, cols, lineno))
     return BitMat.from_bitrows(bits, cols)
 
 
@@ -131,7 +132,7 @@ def loads_vectorsum(text: str) -> VectorSumInstance:
     parts = line.split()
     if len(parts) != 2 or parts[0] != "b":
         raise ParseError("expected 'b <bits>'", lineno)
-    b = _bits(parts[1], m.rows, lineno)
+    b = BitVec(m.rows, _bits(parts[1], m.rows, lineno))
     lineno, line = cur.next("the sparsity line 'k <int>'")
     parts = line.split()
     if len(parts) != 2 or parts[0] != "k":
@@ -176,8 +177,8 @@ def loads_pointvalues(text: str) -> PointValueSet:
         parts = line.split()
         if len(parts) != 2:
             raise ParseError(f"expected '<{n} bits> <bit>'", lineno)
-        points.append(_bits(parts[0], n, lineno))
-        values.append(_bits(parts[1], 1, lineno).bits)
+        points.append(BitVec(n, _bits(parts[0], n, lineno)))
+        values.append(_bits(parts[1], 1, lineno))
     if not cur.done():
         raise ParseError("trailing content after pairs", cur.items[cur.pos][0])
     return PointValueSet(tuple(points), tuple(values))

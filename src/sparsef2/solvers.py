@@ -4,7 +4,6 @@ best-agreement oracles for parities, juntas, and low-degree polynomials."""
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -15,6 +14,7 @@ import numpy as np
 from ._search import (
     DEFAULT_ENUM_CAP,
     FULL_ENUM_DIM,
+    check_cap,
     lightest_by_join,
     lightest_by_scan,
     mitm_kernel_min_weight,
@@ -24,8 +24,6 @@ from ._search import (
 from .errors import InputError, ResourceError, ValidationError
 from .f2 import BitVec, nullspace_basis
 from .instances import EvenSetInstance, PointValueSet, VectorSumInstance
-
-DEFAULT_BFS_CAP = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -56,7 +54,7 @@ def _report(inst: VectorSumInstance, found: tuple[int, BitVec] | None, work: int
 def _zero_solution(inst: VectorSumInstance, algorithm: str) -> SolveReport | None:
     # x = 0 solves Mx = b exactly when b = 0.
     if inst.b.is_zero():
-        return SolveReport(True, BitVec.zeros(inst.m.cols), 0, algorithm, 1)
+        return SolveReport(True, BitVec.zeros(inst.m.cols), 0, algorithm, 0)
     return None
 
 
@@ -89,73 +87,58 @@ def solve_mitm(inst: VectorSumInstance, cap: int = DEFAULT_ENUM_CAP) -> SolveRep
     return _report(inst, *lightest_by_join(inst.m.col_bits(), n, inst.b.bits, min(inst.k, n), cap), "mitm")
 
 
-def solve_bfs(inst: VectorSumInstance, cap: int = DEFAULT_BFS_CAP) -> SolveReport:
-    """Breadth-first search over the syndrome space F2^m with columns as edge
-    labels; path labels with even repetitions cancelled form the witness.
-    The work is the number of states visited, at most 2^m, which ``cap``
-    bounds."""
-    m, n, k = inst.m.rows, inst.m.cols, inst.k
-    if 1 << m > cap:
-        raise ResourceError(f"2^{m} syndrome states exceed cap {cap}")
-    early = _zero_solution(inst, "bfs")
-    if early is not None:
-        return early
+def solve_bfs(inst: VectorSumInstance, cap: int = DEFAULT_ENUM_CAP) -> SolveReport:
+    """Dynamic programming over the syndrome space F2^m, independent of the
+    search core: D_j(s), the fewest of columns j..n-1 whose XOR is s, is one
+    uint8 row of 2^m entries, D_j(s) = min(D_{j+1}(s), 1 + D_{j+1}(s ^ c_j)),
+    with m + 1 for "unreachable". The witness is rebuilt from column 0 on,
+    taking x_j = 0 whenever columns j+1..n-1 still reach the remaining target
+    within the remaining weight, so it is the lowest-weight, lex-least one.
+    The work is the table size (n + 1) * 2^m, and a table larger than
+    ``cap`` is refused before it is allocated."""
+    m, n = inst.m.rows, inst.m.cols
+    check_cap((n + 1) << m, cap)
     cols = inst.m.col_bits()
-    # Keep the first column index per distinct nonzero label.
-    labels: dict[int, int] = {}
-    for j, c in enumerate(cols):
-        if c != 0 and c not in labels:
-            labels[c] = j
-    dist = [-1] * (1 << m)
-    parent_state = [0] * (1 << m)
-    parent_col = [-1] * (1 << m)
-    dist[0] = 0
-    queue = deque([0])
-    target = inst.b.bits
-    work = 0
-    while queue:
-        u = queue.popleft()
-        work += 1
-        if u == target or dist[u] >= k:
-            continue
-        du = dist[u]
-        for c, j in labels.items():
-            v = u ^ c
-            if dist[v] == -1:
-                dist[v] = du + 1
-                parent_state[v] = u
-                parent_col[v] = j
-                queue.append(v)
-    if dist[target] == -1 or dist[target] > k:
-        return SolveReport(False, None, None, "bfs", work)
+    # A reachable syndrome needs at most m (independent) columns, so m + 1 marks
+    # "unreachable" and m + 2, the largest value formed, fits in uint8.
+    table = np.full((n + 1, 1 << m), m + 1, dtype=np.uint8)
+    table[n, 0] = 0
+    # moved[s] = s ^ c_j, updated in place from s ^ c_{j+1}.
+    moved, step, last = np.arange(1 << m, dtype=np.intp), np.empty(1 << m, dtype=np.uint8), 0
+    for j in range(n - 1, -1, -1):
+        moved ^= last ^ cols[j]
+        last = cols[j]
+        np.take(table[j + 1], moved, out=step)
+        step += 1
+        np.minimum(table[j + 1], step, out=table[j])
+    target, budget = inst.b.bits, int(table[0, inst.b.bits])
+    if budget > min(inst.k, m):  # m + 1: b is unreachable, also when k > m
+        return SolveReport(False, None, None, "bfs", table.size)
     support = 0
-    v = target
-    while v != 0:
-        support ^= 1 << parent_col[v]  # even repetitions cancel
-        v = parent_state[v]
-    witness = BitVec(n, support)
-    if witness.weight() > dist[target]:
-        raise ValidationError("bfs witness is heavier than its path; this is a bug")
-    return _verified(inst, witness, "bfs", work)
+    for j in range(n):
+        if table[j + 1, target] > budget:
+            support |= 1 << j
+            target ^= cols[j]
+            budget -= 1
+    return _verified(inst, BitVec(n, support), "bfs", table.size)
 
 
 def evenset_min_weight(
     inst: EvenSetInstance,
     sparse_cap: int | None = None,
-    dim_cap: int = FULL_ENUM_DIM,
     cap: int = DEFAULT_ENUM_CAP,
 ) -> SolveReport:
     """Minimum weight of a nonzero kernel vector; feasible iff it is <= k.
 
     Enumerates the whole kernel (work 2^dim - 1) when its dimension is at
-    most ``dim_cap``; otherwise a meet-in-the-middle search runs up to the
-    weight ``sparse_cap`` (default k), and a bound below k that finds
+    most ``FULL_ENUM_DIM``; otherwise a meet-in-the-middle search runs up to
+    the weight ``sparse_cap`` (default k), and a bound below k that finds
     nothing raises ResourceError. A search whose work can exceed ``cap`` is
     refused before it starts.
     """
     n = inst.m.cols
     basis = [v.bits for v in nullspace_basis(inst.m)]
-    if len(basis) <= dim_cap:
+    if len(basis) <= FULL_ENUM_DIM:
         found = span_min_weight(basis, n, cap)
         work = (1 << len(basis)) - 1
         if found is None:

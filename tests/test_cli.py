@@ -62,6 +62,20 @@ def test_resource_cap_exit_code(tmp_path):
     assert run_cli("solve", "--in", str(path), "--alg", "mitm", "--cap", "10") == 3
 
 
+def test_zero_target_reports_no_work(tmp_path):
+    """b = 0 is answered by x = 0 without enumerating a vector, so the
+    searches report work 0 and ``--cap 0`` admits them; BFS still fills its
+    (3 + 1) * 2^2 table and follows the same rule."""
+    path = tmp_path / "zero.vs"
+    path.write_text("2 3\n110\n011\nb 00\nk 2\n")
+    for alg, work in (("exhaustive", 0), ("mitm", 0), ("bfs", 16)):
+        argv = ["solve", "--in", str(path), "--alg", alg, "--format", "lines"]
+        status, out, _ = _run_captured(argv + ["--cap", str(work)])
+        assert status == 0 and "feasible=1" in out and "weight=0" in out and out.endswith(f"work={work}\n")
+        if work:
+            assert _run_captured(argv + ["--cap", str(work - 1)])[0] == 3
+
+
 def test_verify_bch_and_balance(capsys):
     assert run_cli("verify", "bch", "--override", "n=15", "--delta", "5", "--format", "lines") == 0
     out = capsys.readouterr().out
@@ -279,7 +293,7 @@ def infeasible_candidates(draw):
     """(alg, instance kind, instance): small vector-sum systems, small even-set
     systems (full kernel enumeration) and even-set systems whose kernel
     dimension exceeds 24 (sparse search)."""
-    alg = draw(st.sampled_from(["exhaustive", "mitm", "evenset-min", "evenset-wide"]))
+    alg = draw(st.sampled_from(["exhaustive", "mitm", "bfs", "evenset-min", "evenset-wide"]))
     if alg == "evenset-wide":
         rows, cols, k = draw(st.integers(12, 16)), draw(st.integers(41, 44)), draw(st.integers(1, 2))
     else:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sparsef2 import _search
+from sparsef2 import _search, solvers
 from sparsef2.codes import min_distance, simplex_generator
 from sparsef2.errors import ResourceError
 from sparsef2.f2 import BitMat, BitVec
@@ -48,16 +48,34 @@ def test_exhaustive_identity_cases():
 
 
 def test_zero_target_convention():
-    # x = 0 solves Mx = 0, so b = 0 instances are feasible at weight 0.
+    # x = 0 solves Mx = 0, so b = 0 instances are feasible at weight 0. The
+    # searches enumerate no vector for it; BFS still fills its (3 + 1) * 2^2 table.
     m = BitMat.from_rows(["10", "01", "00"]).transpose()
-    for solve in (solve_exhaustive, solve_mitm, solve_bfs):
+    for solve, work in ((solve_exhaustive, 0), (solve_mitm, 0), (solve_bfs, 16)):
         rep = solve(VectorSumInstance(m, BitVec.zeros(2), 1))
-        assert rep.feasible and rep.weight == 0 and rep.witness.is_zero()
+        assert rep.feasible and rep.weight == 0 and rep.witness.is_zero() and rep.work == work
 
 
 def test_bfs_identity_infeasible_at_k1():
     rep = solve_bfs(VectorSumInstance(BitMat.identity(2), BitVec.from01("11"), 1))
     assert not rep.feasible
+
+
+def test_bfs_returns_the_lex_least_witness():
+    """A 6 x 10 system whose minimum-weight solutions tie; a shortest path
+    through the syndrome space found 1000010001."""
+    m = BitMat.from_bitrows([807, 214, 96, 499, 29, 914], 10)
+    rep = solve_bfs(VectorSumInstance(m, BitVec.from01("101011"), 3))
+    assert (rep.feasible, rep.weight, rep.witness) == (True, 3, BitVec.from01("0101001000"))
+
+
+def test_unreachable_target_infeasible_with_k_above_rows():
+    """The columns span only the first row, so 01 is unreachable at any k,
+    including k above the 2 rows (BFS's "unreachable" mark is rows + 1 = 3)."""
+    m = BitMat.from_rows(["111", "000"])
+    for solve in (solve_exhaustive, solve_mitm, solve_bfs):
+        rep = solve(VectorSumInstance(m, BitVec.from01("01"), 5))
+        assert (rep.feasible, rep.weight, rep.witness) == (False, None, None)
 
 
 def test_exhaustive_lex_least_among_minimal():
@@ -73,14 +91,9 @@ def test_three_way_agreement_random():
     rng = random.Random(2024)
     for _ in range(150):
         inst = random_instance(rng)
-        reps = [solve_exhaustive(inst), solve_mitm(inst), solve_bfs(inst)]
-        assert len({r.feasible for r in reps}) == 1
-        if reps[0].feasible:
-            assert reps[0].weight == reps[1].weight == reps[2].weight
-            ground = brute_force_lex_least(inst.m.col_bits(), inst.m.rows, inst.b.bits, inst.k)
-            assert ground is not None and ground[0] == reps[0].weight
-        else:
-            assert brute_force_lex_least(inst.m.col_bits(), inst.m.rows, inst.b.bits, inst.k) is None
+        ground = brute_force_lex_least(inst.m.col_bits(), inst.m.rows, inst.b.bits, inst.k)
+        for rep in (solve_exhaustive(inst), solve_mitm(inst), solve_bfs(inst)):
+            assert (rep.feasible, rep.weight, rep.witness) == ((False, None, None) if ground is None else (True, *ground))
 
 
 def brute_force_lex_least(cols, rows, b, k):
@@ -120,12 +133,9 @@ def vectorsum_systems(draw, min_rows, max_rows, max_n=12, max_k=5):
 def assert_solvers_match_brute_force(cols, rows, b, k):
     inst = VectorSumInstance(BitMat.from_cols(cols, rows), BitVec(rows, b), k)
     ground = brute_force_lex_least(cols, rows, b, k)
-    for solve in (solve_mitm, solve_exhaustive):
+    for solve in (solve_mitm, solve_exhaustive, solve_bfs) if rows <= 16 else (solve_mitm, solve_exhaustive):
         rep = solve(inst)
         assert (rep.feasible, rep.weight, rep.witness) == ((False, None, None) if ground is None else (True, *ground))
-    if rows <= 16:
-        rep = solve_bfs(inst)
-        assert (rep.feasible, rep.weight) == ((False, None) if ground is None else (True, ground[0]))
 
 
 @SETTINGS
@@ -170,7 +180,7 @@ def test_solvers_lex_least_among_many_solutions():
 def test_solvers_agree_with_bfs_on_large_instances():
     """60 columns at k = 4 (523,686 exhaustive states) and 100 columns at
     k = 6 (166,751 entries in the largest join layers), against BFS over the
-    2^12 syndromes; exhaustive and mitm return the same witness."""
+    2^12 syndromes; all three return the same witness."""
     rng = random.Random(99)
     for _ in range(3):
         for cols, k in ((60, 4), (100, 6)):
@@ -178,7 +188,7 @@ def test_solvers_agree_with_bfs_on_large_instances():
             inst = VectorSumInstance(m, BitVec(12, rng.getrandbits(12)), k)
             ground = solve_bfs(inst)
             rep = solve_mitm(inst)
-            assert (rep.feasible, rep.weight) == (ground.feasible, ground.weight)
+            assert (rep.feasible, rep.weight, rep.witness) == (ground.feasible, ground.weight, ground.witness)
             if cols == 60:
                 assert solve_exhaustive(inst).witness == rep.witness
 
@@ -192,6 +202,14 @@ def test_resource_caps():
         solve_mitm(inst, cap=10)
     with pytest.raises(ResourceError):
         solve_bfs(VectorSumInstance(BitMat.zeros(30, 3), BitVec.zeros(30) ^ BitVec.unit(30, 0), 2), cap=1000)
+
+
+def test_bfs_refuses_before_allocating_the_table():
+    """30 rows and 3 columns need 4 * 2^30 table entries, over the default cap."""
+    inst = VectorSumInstance(BitMat.zeros(30, 3), BitVec.unit(30, 0), 2)
+    with mock.patch.object(np, "full", side_effect=AssertionError("table allocated")):
+        with pytest.raises(ResourceError, match=f"predicted work {4 << 30} exceeds cap 80000000"):
+            solve_bfs(inst)
 
 
 def test_evenset_small_kernel():
@@ -238,7 +256,8 @@ def test_evenset_sparse_mode_agrees():
         full = evenset_min_weight(EvenSetInstance(m, 9))
         if full.weight is None:
             continue
-        sparse = evenset_min_weight(EvenSetInstance(m, 9), sparse_cap=full.weight, dim_cap=0)
+        with mock.patch.object(solvers, "FULL_ENUM_DIM", 0):
+            sparse = evenset_min_weight(EvenSetInstance(m, 9), sparse_cap=full.weight)
         assert sparse.weight == full.weight
 
 
