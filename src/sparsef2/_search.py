@@ -22,7 +22,7 @@ from math import comb
 import numpy as np
 
 from .errors import ResourceError
-from .f2 import BitVec
+from .f2 import BitVec, pack_rows, unpack_rows
 
 DEFAULT_ENUM_CAP = 80_000_000
 # Kernels and codes of at most this dimension are enumerated in full.
@@ -254,19 +254,13 @@ def mitm_kernel_min_weight(
     return None if found is None else (*found, work)
 
 
-def block_ints(block: np.ndarray) -> list[int]:
-    return [int.from_bytes(row.tobytes(), "little") for row in block.astype("<u8", copy=False)]
-
-
 def span_blocks(basis: list[int], n: int):
     """(rows, weights) blocks holding the XOR of each subset of ``basis``
     (n-bit integers) once. The first block is the empty subset; the next are
     the halves added while the low table doubles, so a caller can stop early;
     then one block per Gray-code offset of the high generators. Rows are
     little-endian uint64 words."""
-    words = max(1, -(-n // 64))
-    buf = b"".join(v.to_bytes(8 * words, "little") for v in basis)
-    vecs = np.frombuffer(buf, dtype="<u8").reshape(len(basis), words)
+    vecs = pack_rows(basis, n)
     table = np.zeros((1, vecs.shape[1]), dtype=np.uint64)
     yield table, np.zeros(1, dtype=np.int64)
     for c in vecs[:_LOW_GENERATORS]:
@@ -291,5 +285,5 @@ def span_min_weight(basis: list[int], n: int, cap: int = DEFAULT_ENUM_CAP) -> tu
         if w < best:
             best, ties = w, []
         if w == best:
-            ties += block_ints(block[weights == w])
+            ties += unpack_rows(block[weights == w])
     return (best, min(ties, key=lambda bits: BitVec(n, bits).lex_key())) if ties else None

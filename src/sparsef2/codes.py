@@ -8,7 +8,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations, islice
 
-from ._search import DEFAULT_ENUM_CAP, FULL_ENUM_DIM, block_ints, span_blocks, span_min_weight
+from ._search import DEFAULT_ENUM_CAP, FULL_ENUM_DIM, span_blocks, span_min_weight
 from ._search import mitm_kernel_min_weight as _mitm_kernel_min_weight
 from .errors import (
     DimensionError,
@@ -17,7 +17,7 @@ from .errors import (
     ResourceError,
     ValidationError,
 )
-from .f2 import BitMat, BitVec, mat_mul, nullspace_basis, rank
+from .f2 import BitMat, BitVec, mat_mul, nullspace_basis, rank, unpack_rows
 
 # balanced_code certifies dimensions up to BALANCE_DIM_CAP, tries lengths up
 # to BALANCE_LENGTH_FACTOR * dim / eps^3, and draws BALANCE_TRIES generators
@@ -110,7 +110,7 @@ class LinearCode:
     def codewords(self):
         """All 2^dim codewords, each once, the zero word first."""
         for block, _ in span_blocks(self.require_generator().col_bits(), self.length):
-            for cw in block_ints(block):
+            for cw in unpack_rows(block):
                 yield BitVec(self.length, cw)
 
     def require_generator(self) -> BitMat:
@@ -201,16 +201,18 @@ def simplex_generator(kdim: int) -> LinearCode:
     )
 
 
-def _certify_balance(gen: BitMat, eps: float) -> tuple[int, int] | None:
-    """Min/max nonzero-codeword weight if all lie in [1/2-eps, 1/2+eps], else None."""
-    t = gen.rows
+def _certify_balance(rows: list[int], dim: int, eps: float) -> tuple[int, int] | None:
+    """Min/max nonzero-codeword weight of the generator with these rows if all
+    lie in [1/2-eps, 1/2+eps], else None."""
+    t = len(rows)
     lo = (0.5 - eps) * t
     hi = (0.5 + eps) * t
-    gcols = gen.col_bits()
-    # The generators are codewords: checking them first rejects most random tries cheaply.
-    if not all(lo <= c.bit_count() <= hi for c in gcols):
+    # The generator columns are codewords: counting their weights on the row
+    # ints first rejects most random tries before anything is built.
+    if not all(lo <= sum(r >> j & 1 for r in rows) <= hi for j in range(dim)):
         return None
     wmin, wmax = t + 1, -1
+    gcols = BitMat.from_bitrows(rows, dim).col_bits()
     for _, weights in islice(span_blocks(gcols, t), 1, None):  # skip the zero message
         wmin, wmax = min(wmin, int(weights.min())), max(wmax, int(weights.max()))
         if wmin < lo or wmax > hi:
@@ -253,15 +255,15 @@ def balanced_code(
             t = min(t_max, max(t + 1, int(t * 1.3)))
     for t in schedule:
         for _ in range(tries):
-            gen = BitMat.from_bitrows([rng.getrandbits(dim) for _ in range(t)], dim)
-            cert = _certify_balance(gen, eps)
+            rows = [rng.getrandbits(dim) for _ in range(t)]
+            cert = _certify_balance(rows, dim, eps)
             if cert is None:
                 continue
             wmin, wmax = cert
             return LinearCode(
                 t,
                 dim,
-                generator=gen,
+                generator=BitMat.from_bitrows(rows, dim),
                 dist_cert=DistanceCert(wmin, "exhaustive"),
                 bias_cert=BiasCert(eps, "exhaustive", wmin, wmax),
             )

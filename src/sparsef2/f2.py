@@ -4,6 +4,8 @@ Vectors and matrices hold their entries in Python integers used as bitsets
 (coordinate ``i`` is bit ``i``), so a row operation is a single XOR and
 weight/equality are exact: no bits ever exist outside ``[0, len)``.
 All values are immutable; every operation returns a fresh object.
+Elimination runs on the rows packed into little-endian uint64 words
+(``pack_rows``), the layout the search core enumerates spans in.
 """
 
 from __future__ import annotations
@@ -11,10 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from .errors import DimensionError, InputError, ValidationError
 
 
 _BYTE_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+_WORD_BIT = tuple(np.uint64(1 << b) for b in range(64))
 
 
 def _mask(n: int) -> int:
@@ -242,28 +247,48 @@ def weight(x: BitVec) -> int:
     return x.weight()
 
 
+def pack_rows(row_ints: Sequence[int], cols: int) -> np.ndarray:
+    """Read-only (rows, words) array of little-endian uint64 words, words =
+    max(1, ceil(cols / 64)): bit j of a row is bit j % 64 of its word j // 64."""
+    words = max(1, -(-cols // 64))
+    buf = b"".join(r.to_bytes(8 * words, "little") for r in row_ints)
+    return np.frombuffer(buf, dtype="<u8").reshape(len(row_ints), words)
+
+
+def unpack_rows(words: np.ndarray) -> list[int]:
+    """One int per row of a 2-D array of little-endian words (uint64 as from
+    ``pack_rows``, or bytes)."""
+    buf = words.astype(words.dtype.newbyteorder("<"), copy=False).tobytes()
+    size = words.shape[1] * words.itemsize
+    return [int.from_bytes(buf[i : i + size], "little") for i in range(0, len(buf), size)]
+
+
 def rref(m: BitMat) -> tuple[tuple[int, ...], BitMat]:
-    """Reduced row echelon form; returns (pivot column indices, reduced matrix)."""
-    work = list(m.row_bits)
+    """Reduced row echelon form; returns (pivot column indices, reduced matrix).
+
+    Runs on packed words. For each column, the rows holding its bit come from
+    one word column; the first of them at or below the next pivot row is the
+    pivot. Rows below the pivot rows are zero in every earlier column, so the
+    pivot is XORed into the other hits from its own word on, and moves up.
+    """
+    a = pack_rows(m.row_bits, m.cols).copy()
     pivots = []
-    row = 0
     for col in range(m.cols):
-        sel = None
-        for r in range(row, m.rows):
-            if (work[r] >> col) & 1:
-                sel = r
-                break
-        if sel is None:
-            continue
-        work[row], work[sel] = work[sel], work[row]
-        for r in range(m.rows):
-            if r != row and (work[r] >> col) & 1:
-                work[r] ^= work[row]
-        pivots.append(col)
-        row += 1
+        row = len(pivots)
         if row == m.rows:
             break
-    return tuple(pivots), BitMat(m.rows, m.cols, tuple(work))
+        w = col >> 6
+        hits = (a[:, w] & _WORD_BIT[col & 63]).nonzero()[0]
+        k = hits.searchsorted(row)
+        if k == len(hits):
+            continue
+        sel = hits[k]
+        pivot = a[sel, w:].copy()
+        a[hits, w:] ^= pivot  # clears row sel as well
+        a[sel] = a[row]  # row `row` holds the bit only if it is sel
+        a[row, w:] = pivot
+        pivots.append(col)
+    return tuple(pivots), BitMat(m.rows, m.cols, tuple(unpack_rows(a)))
 
 
 def rank(m: BitMat) -> int:
@@ -271,19 +296,20 @@ def rank(m: BitMat) -> int:
 
 
 def nullspace_basis(m: BitMat) -> list[BitVec]:
-    """Basis of {x : Mx = 0}; one vector per free column, free columns ascending."""
+    """Basis of {x : Mx = 0}; one vector per free column, free columns ascending.
+
+    The vector of free column f has bit f, and bit p_r for each pivot row r
+    that holds f: one transpose of the reduced rows' bit matrix."""
     pivots, red = rref(m)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(m.cols):
-        if free in pivot_set:
-            continue
-        bits = 1 << free
-        for r, pc in enumerate(pivots):
-            if (red.row_bits[r] >> free) & 1:
-                bits |= 1 << pc
-        basis.append(BitVec(m.cols, bits))
-    return basis
+    free = np.delete(np.arange(m.cols), pivots)
+    if not len(free):
+        return []
+    rows = pack_rows(red.row_bits[: len(pivots)], m.cols).view(np.uint8)
+    bits = np.unpackbits(rows, axis=1, bitorder="little")
+    out = np.zeros((len(free), m.cols), dtype=np.uint8)
+    out[:, list(pivots)] = bits[:, free].T
+    out[np.arange(len(free)), free] = 1
+    return [BitVec(m.cols, v) for v in unpack_rows(np.packbits(out, axis=1, bitorder="little"))]
 
 
 def gauss_solve(m: BitMat, b: BitVec) -> BitVec | None:

@@ -25,6 +25,9 @@ from .errors import InputError, ResourceError, ValidationError
 from .f2 import BitVec, nullspace_basis
 from .instances import EvenSetInstance, PointValueSet, VectorSumInstance
 
+# solve_bfs gathers its table rows in blocks of 2^_BFS_BLOCK_BITS syndromes.
+_BFS_BLOCK_BITS = 14
+
 
 @dataclass(frozen=True)
 class SolveReport:
@@ -103,12 +106,18 @@ def solve_bfs(inst: VectorSumInstance, cap: int = DEFAULT_ENUM_CAP) -> SolveRepo
     # "unreachable" and m + 2, the largest value formed, fits in uint8.
     table = np.full((n + 1, 1 << m), m + 1, dtype=np.uint8)
     table[n, 0] = 0
-    # moved[s] = s ^ c_j, updated in place from s ^ c_{j+1}.
-    moved, step, last = np.arange(1 << m, dtype=np.intp), np.empty(1 << m, dtype=np.uint8), 0
+    # step[s] = D_{j+1}(s ^ c_j) + 1, gathered one block at a time: block i of
+    # step is block i ^ (c_j >> low) of D_{j+1} permuted by the low bits of
+    # c_j, so no index array of 2^m entries is ever held.
+    low = min(m, _BFS_BLOCK_BITS)
+    step = np.empty(1 << m, dtype=np.uint8)
+    blocks, step_blocks = table.reshape(n + 1, -1, 1 << low), step.reshape(-1, 1 << low)
+    low_index, index = np.arange(1 << low), np.empty(1 << low, dtype=np.intp)
     for j in range(n - 1, -1, -1):
-        moved ^= last ^ cols[j]
-        last = cols[j]
-        np.take(table[j + 1], moved, out=step)
+        np.bitwise_xor(low_index, cols[j] & ((1 << low) - 1), out=index)
+        high = cols[j] >> low
+        for i, block in enumerate(step_blocks):
+            np.take(blocks[j + 1, i ^ high], index, out=block)
         step += 1
         np.minimum(table[j + 1], step, out=table[j])
     target, budget = inst.b.bits, int(table[0, inst.b.bits])

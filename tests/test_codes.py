@@ -118,6 +118,56 @@ def test_balanced_codes_deterministic_per_seed():
     assert a.generator == b.generator
 
 
+def balanced_generator_by_full_check(dim, eps, seed, length):
+    """The rejection loop of balanced_code with no early column check: build
+    every try's generator and certify it over all 2^dim - 1 nonzero messages.
+    Returns (rows, wmin, wmax), or None when no try passes."""
+    rng = random.Random(seed)
+    t_max = math.ceil(4.0 * dim / eps**3)
+    if length is not None:
+        schedule, tries = [length], 2000
+    else:
+        t = min(t_max, max(dim, math.ceil(math.log(2 ** (dim + 1)) / (2 * eps * eps))))
+        schedule = [t]
+        while t < t_max:
+            t = min(t_max, max(t + 1, int(t * 1.3)))
+            schedule.append(t)
+        tries = 60
+    for t in schedule:
+        for _ in range(tries):
+            gen = BitMat.from_bitrows([rng.getrandbits(dim) for _ in range(t)], dim)
+            cols = gen.col_bits()
+            weights = []
+            for msg in range(1, 1 << dim):
+                word = 0
+                for j in range(dim):
+                    if msg >> j & 1:
+                        word ^= cols[j]
+                weights.append(word.bit_count())
+            if all((0.5 - eps) * t <= w <= (0.5 + eps) * t for w in weights):
+                return gen.row_bits, min(weights), max(weights)
+    return None
+
+
+@pytest.mark.parametrize("length", [None, 6, 8, 14])
+@pytest.mark.parametrize("eps", [0.1, 0.25, 0.3])
+@pytest.mark.parametrize("dim", [1, 2, 4])
+def test_balanced_code_matches_the_full_check(dim, eps, length):
+    """Checking the generator columns on the drawn rows first changes no
+    generator and no certificate, for the default length schedule too; eps
+    0.25 at length 8 puts both ends of the window [2, 6] on weights."""
+    for seed in range(6):
+        want = balanced_generator_by_full_check(dim, eps, seed, length)
+        if want is None:
+            with pytest.raises(GenerationError):
+                balanced_code(dim, eps, seed, length)
+            continue
+        code = balanced_code(dim, eps, seed, length)
+        got = (code.generator.row_bits, code.bias_cert.min_weight, code.bias_cert.max_weight)
+        assert got == want
+        assert code.dist_cert.d == want[1]
+
+
 def test_tensor_membership_generated_members():
     rng = random.Random(1)
     code = simplex_generator(3)

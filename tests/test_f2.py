@@ -10,6 +10,118 @@ from sparsef2.errors import DimensionError, InputError, ValidationError
 from sparsef2.f2 import BitMat, BitVec, gauss_solve, mat_mul, mat_vec_mul, nullspace_basis, rank, rref, weight
 
 
+def oracle_rref(rows, cols):
+    """Gauss-Jordan elimination on int rows, one bit test at a time: the
+    reference the packed-word ``rref`` must match bit for bit."""
+    work = list(rows)
+    pivots = []
+    row = 0
+    for col in range(cols):
+        sel = None
+        for r in range(row, len(work)):
+            if (work[r] >> col) & 1:
+                sel = r
+                break
+        if sel is None:
+            continue
+        work[row], work[sel] = work[sel], work[row]
+        for r in range(len(work)):
+            if r != row and (work[r] >> col) & 1:
+                work[r] ^= work[row]
+        pivots.append(col)
+        row += 1
+        if row == len(work):
+            break
+    return tuple(pivots), work
+
+
+def oracle_nullspace(rows, cols):
+    """One kernel vector per free column, free columns ascending."""
+    pivots, red = oracle_rref(rows, cols)
+    basis = []
+    for free in range(cols):
+        if free in pivots:
+            continue
+        bits = 1 << free
+        for r, pc in enumerate(pivots):
+            if (red[r] >> free) & 1:
+                bits |= 1 << pc
+        basis.append(bits)
+    return basis
+
+
+def oracle_gauss_solve(rows, cols, b):
+    """The solution with every free variable 0, or None if inconsistent."""
+    pivots, red = oracle_rref([r | ((b >> i) & 1) << cols for i, r in enumerate(rows)], cols + 1)
+    if cols in pivots:
+        return None
+    return sum(1 << pc for r, pc in enumerate(pivots) if (red[r] >> cols) & 1)
+
+
+def assert_elimination_matches_oracle(rows, cols, b):
+    m = BitMat.from_bitrows(rows, cols)
+    pivots, red = rref(m)
+    want_pivots, want_rows = oracle_rref(rows, cols)
+    assert pivots == want_pivots
+    assert (red.rows, red.cols, red.row_bits) == (len(rows), cols, tuple(want_rows))
+    assert rank(m) == len(want_pivots)
+    assert [v.bits for v in nullspace_basis(m)] == oracle_nullspace(rows, cols)
+    found = gauss_solve(m, BitVec(len(rows), b))
+    want = oracle_gauss_solve(rows, cols, b)
+    assert (None if found is None else found.bits) == want
+
+
+def draw_row(rng_bits, kind, cols, earlier):
+    """A uniform, sparse (at most 3 bits), dense (all but at most 3 bits) or
+    dependent (XOR of two earlier rows) row."""
+    if kind == "dependent" and earlier:
+        return earlier[rng_bits[0] % len(earlier)] ^ earlier[rng_bits[1] % len(earlier)]
+    if kind == "uniform" or not cols:
+        return rng_bits[2] & ((1 << cols) - 1)
+    sparse = 0
+    for pos in rng_bits[:3]:
+        sparse |= 1 << (pos % cols)
+    return sparse if kind == "sparse" else ((1 << cols) - 1) ^ sparse
+
+
+@st.composite
+def systems(draw):
+    """(rows, cols, rhs): column counts around the word boundaries, 0 to 70
+    rows, each row uniform, sparse, dense or dependent on earlier rows."""
+    cols = draw(st.one_of(st.sampled_from([0, 1, 63, 64, 65, 127, 128, 129]), st.integers(0, 200)))
+    kinds = draw(st.lists(st.sampled_from(["uniform", "sparse", "dense", "dependent"]), max_size=70))
+    rows = []
+    for kind in kinds:
+        rng_bits = draw(st.tuples(st.integers(0, 1 << 16), st.integers(0, 1 << 16), st.integers(0, (1 << cols) - 1)))
+        rows.append(draw_row(rng_bits, kind, cols, rows))
+    if draw(st.booleans()):  # a consistent right-hand side
+        x = draw(st.integers(0, (1 << cols) - 1))
+        rhs = sum(((r & x).bit_count() & 1) << i for i, r in enumerate(rows))
+    else:
+        rhs = draw(st.integers(0, (1 << len(rows)) - 1))
+    return rows, cols, rhs
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(systems())
+def test_elimination_matches_the_python_oracle(system):
+    assert_elimination_matches_oracle(*system)
+
+
+@pytest.mark.parametrize("cols", [0, 1, 63, 64, 65, 128, 129])
+@pytest.mark.parametrize("nrows", [0, 1, 40, 64, 140])
+def test_elimination_matches_the_python_oracle_at_word_boundaries(cols, nrows):
+    rng = random.Random(cols * 1000 + nrows)
+    for kind in ("uniform", "sparse", "dense", "dependent"):
+        rows = []
+        for _ in range(nrows):
+            rows.append(draw_row((rng.getrandbits(16), rng.getrandbits(16), rng.getrandbits(cols)), kind, cols, rows))
+        x = rng.getrandbits(cols)
+        consistent = sum(((r & x).bit_count() & 1) << i for i, r in enumerate(rows))
+        for rhs in (consistent, rng.getrandbits(nrows)):
+            assert_elimination_matches_oracle(rows, cols, rhs)
+
+
 def random_mat(rng, rows, cols):
     return BitMat.from_bitrows([rng.getrandbits(cols) for _ in range(rows)], cols)
 

@@ -1,6 +1,7 @@
 """Solver behavior and cross-oracle agreement on seeded random instances."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from unittest import mock
@@ -169,6 +170,15 @@ def test_solvers_match_brute_force_in_small_chunks(system, block):
         assert_solvers_match_brute_force(*system)
 
 
+@SETTINGS
+@given(vectorsum_systems(1, 12, max_n=10), st.sampled_from([0, 1, 3]))
+def test_bfs_matches_brute_force_in_small_blocks(system, bits):
+    """Syndrome blocks of 1, 2 and 8 entries, so the high bits of a column
+    move whole blocks and the low bits permute inside them."""
+    with mock.patch.object(solvers, "_BFS_BLOCK_BITS", bits):
+        assert_solvers_match_brute_force(*system)
+
+
 def test_solvers_lex_least_among_many_solutions():
     """3-6 rows and 14-18 columns: many solutions share the minimum weight."""
     rng = random.Random(5)
@@ -210,6 +220,21 @@ def test_bfs_refuses_before_allocating_the_table():
     with mock.patch.object(np, "full", side_effect=AssertionError("table allocated")):
         with pytest.raises(ResourceError, match=f"predicted work {4 << 30} exceeds cap 80000000"):
             solve_bfs(inst)
+
+
+def test_bfs_holds_no_index_per_syndrome():
+    """20 rows and 3 columns: besides the (n + 1) * 2^m byte table, the DP may
+    hold two bytes per syndrome and 1 MB, not an 8-byte index per syndrome."""
+    rng = random.Random(20)
+    m, n = 20, 3
+    inst = VectorSumInstance(BitMat.from_bitrows([rng.getrandbits(n) for _ in range(m)], n), BitVec(m, rng.getrandbits(m)), n)
+    tracemalloc.start()
+    try:
+        solve_bfs(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < ((n + 1) << m) + (2 << m) + (1 << 20)
 
 
 def test_evenset_small_kernel():
