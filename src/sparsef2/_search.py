@@ -8,7 +8,9 @@ first turns the target into the unit vector 1 (or keeps it 0), so matching
 keys are equal or differ in bit 0 only. Spans are enumerated in blocks: a
 table of the span of the first ``_LOW_GENERATORS`` generators, built by
 doubling, XORed with each offset of a Gray-code walk over the remaining
-generators.
+generators. The learning and fooling oracles count projected patterns:
+``pattern_counts`` histograms the distinct points over each w-subset of
+coordinates, a block of subsets in lex order at a time.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from functools import lru_cache
-from itertools import islice, product
+from itertools import chain, combinations, islice, product
 from math import comb
 
 import numpy as np
@@ -287,3 +289,57 @@ def span_min_weight(basis: list[int], n: int, cap: int = DEFAULT_ENUM_CAP) -> tu
         if w == best:
             ties += unpack_rows(block[weights == w])
     return (best, min(ties, key=lambda bits: BitVec(n, bits).lex_key())) if ties else None
+
+
+def distinct_rows(
+    row_ints: list[int], n: int, labels: tuple[int, ...] | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """(words, counts, labels): the distinct rows (with their label bit) packed
+    by ``pack_rows``, how often each occurs, and their labels (None without)."""
+    words = pack_rows(row_ints, n)
+    if labels is not None:
+        words = np.column_stack([words, np.array(labels, dtype=np.uint64)])
+    # Equal rows are adjacent once sorted on every word.
+    words = words[np.lexsort(words.T)]
+    first = np.ones(len(words), dtype=bool)
+    first[1:] = (words[1:] != words[:-1]).any(axis=1)
+    starts = np.flatnonzero(first)
+    words, counts = words[starts], np.diff(starts, append=len(first))
+    if labels is None:
+        return words, counts, None
+    return words[:, :-1], counts, words[:, -1].astype(np.intp)
+
+
+def pattern_counts(
+    words: np.ndarray, counts: np.ndarray, n: int, w: int, labels: np.ndarray | None = None, width: int = 0
+):
+    """Histograms of the projected patterns, per block of w-subsets S of
+    range(n) in lex order (``itertools.combinations``), as (supports, hist):
+    ``supports`` is a (rows, w) index array and ``hist[i, p]`` the number of
+    points (rows of ``words`` counted ``counts`` times) whose bit
+    ``supports[i, j]`` is bit j of p, for p < 2^w; with ``labels``,
+    ``hist[i, p, b]`` counts those labelled b. A block holds at most
+    ``_BLOCK // max(distinct points, cells per support, width)`` subsets (at
+    least one), so each temporary stays within the budget; ``width`` is what
+    a caller holds per subset of a block."""
+    cells = (1 << w) * (1 if labels is None else 2)
+    rows = max(1, _BLOCK // max(len(words), cells, width))
+    # bits[j]: coordinate j of every point, one row per coordinate.
+    bits = np.unpackbits(words.view(np.uint8), axis=1, count=n, bitorder="little").T.copy()
+    weights = np.tile(counts, rows)
+    subsets = combinations(range(n), w)
+    total = comb(n, w)
+    for start in range(0, total, rows):
+        size = min(rows, total - start)
+        supports = np.fromiter(chain.from_iterable(islice(subsets, size)), dtype=np.intp, count=size * w)
+        supports = supports.reshape(size, w)
+        # pattern[i, r]: the cell of point r in the histogram of subset i.
+        pattern = np.zeros((size, len(words)), dtype=np.intp)
+        for j, col in enumerate(supports.T):
+            pattern |= bits[col].astype(np.intp) << j
+        pattern += np.arange(size)[:, None] << w
+        if labels is not None:
+            pattern <<= 1
+            pattern |= labels
+        hist = np.bincount(pattern.ravel(), weights=weights[: pattern.size], minlength=size * cells)
+        yield supports, hist.astype(np.int64).reshape((size, 1 << w) + (() if labels is None else (2,)))

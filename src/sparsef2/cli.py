@@ -9,6 +9,7 @@ output files; '#' provenance headers carry the input hash and settings.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import math
 import sys
@@ -95,9 +96,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built once per process: building takes ten times
+    as long as parsing, and parsing leaves the parser as it was."""
+    return build_parser()
+
+
 def parse_args(argv) -> argparse.Namespace:
     """The parsed flags, with the ``--override`` items as the dict ``overrides``."""
-    cfg = build_parser().parse_args(argv)
+    cfg = _parser().parse_args(argv)
     cfg.overrides = {}
     for item in cfg.override:
         if "=" not in item:

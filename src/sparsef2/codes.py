@@ -8,7 +8,9 @@ import random
 from dataclasses import dataclass
 from itertools import combinations, islice
 
-from ._search import DEFAULT_ENUM_CAP, FULL_ENUM_DIM, span_blocks, span_min_weight
+import numpy as np
+
+from ._search import DEFAULT_ENUM_CAP, FULL_ENUM_DIM, distinct_rows, pattern_counts, span_blocks, span_min_weight
 from ._search import mitm_kernel_min_weight as _mitm_kernel_min_weight
 from .errors import (
     DimensionError,
@@ -207,12 +209,15 @@ def _certify_balance(rows: list[int], dim: int, eps: float) -> tuple[int, int] |
     t = len(rows)
     lo = (0.5 - eps) * t
     hi = (0.5 + eps) * t
-    # The generator columns are codewords: counting their weights on the row
-    # ints first rejects most random tries before anything is built.
+    # The generator columns and the sums of two of them are codewords:
+    # checking their weights on the drawn ints first rejects most random
+    # tries before the span is walked.
     if not all(lo <= sum(r >> j & 1 for r in rows) <= hi for j in range(dim)):
         return None
+    gcols = [sum((r >> j & 1) << i for i, r in enumerate(rows)) for j in range(dim)]
+    if not all(lo <= (a ^ b).bit_count() <= hi for a, b in combinations(gcols, 2)):
+        return None
     wmin, wmax = t + 1, -1
-    gcols = BitMat.from_bitrows(rows, dim).col_bits()
     for _, weights in islice(span_blocks(gcols, t), 1, None):  # skip the zero message
         wmin, wmax = min(wmin, int(weights.min())), max(wmax, int(weights.max()))
         if wmin < lo or wmax > hi:
@@ -372,7 +377,10 @@ def product_density_check(
 
 
 def distribution_bias(points: list[BitVec], support_cap: int, cap: int = DEFAULT_ENUM_CAP) -> float:
-    """Max over nonzero linear forms on <= support_cap variables of |avg (-1)^l(z)|."""
+    """Max over nonzero linear forms on <= support_cap variables of |avg (-1)^l(z)|.
+
+    The sum of (-1)^l(z) for the form on S is the signed sum of the pattern
+    histogram of S (``_search.pattern_counts``): +1 on even patterns, -1 on odd."""
     if not points:
         raise InputError("empty point set")
     n = points[0].n
@@ -380,13 +388,10 @@ def distribution_bias(points: list[BitVec], support_cap: int, cap: int = DEFAULT
     num_forms = sum(math.comb(n, w) for w in range(1, min(support_cap, n) + 1))
     if num_forms * m > cap:
         raise ResourceError(f"{num_forms} forms x {m} points exceed cap {cap}")
-    pts = [p.bits for p in points]
-    worst = 0.0
+    words, counts, _ = distinct_rows([p.bits for p in points], n)
+    top = 0  # the largest |sum of (-1)^l(z)| so far; dividing by m keeps the order
     for w in range(1, min(support_cap, n) + 1):
-        for sub in combinations(range(n), w):
-            mask = 0
-            for i in sub:
-                mask |= 1 << i
-            odd = sum((mask & z).bit_count() & 1 for z in pts)
-            worst = max(worst, abs(m - 2 * odd) / m)
-    return worst
+        signs = 1 - 2 * (np.bitwise_count(np.arange(1 << w)) & 1).astype(np.int64)
+        for _, hist in pattern_counts(words, counts, n, w):
+            top = max(top, int(np.abs(hist @ signs).max()))
+    return top / m

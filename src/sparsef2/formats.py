@@ -11,7 +11,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .codes import LinearCode
-from .errors import InputError, ParseError
+from .errors import DimensionError, InputError, ParseError
 from .f2 import BitMat, BitVec
 from .graphs import Graph
 from .instances import EvenSetInstance, PointValueSet, VectorSumInstance
@@ -90,7 +90,8 @@ def dumps_graph(g: Graph, header: Iterable[str] = ()) -> str:
 
 # -- matrices ------------------------------------------------------------
 
-def _read_matrix(cur: _Lines) -> BitMat:
+def _read_rows(cur: _Lines) -> tuple[list[int], int]:
+    """The rows of a matrix block as ints, and its column count."""
     lineno, head = cur.next("matrix dimensions")
     rows, cols = _ints(head, 2, lineno, "matrix header")
     if rows < 0 or cols < 0:
@@ -99,7 +100,11 @@ def _read_matrix(cur: _Lines) -> BitMat:
     for _ in range(rows):
         lineno, line = cur.next("a matrix row")
         bits.append(_bits(line, cols, lineno))
-    return BitMat.from_bitrows(bits, cols)
+    return bits, cols
+
+
+def _read_matrix(cur: _Lines) -> BitMat:
+    return BitMat.from_bitrows(*_read_rows(cur))
 
 
 def _matrix_lines(m: BitMat) -> list[str]:
@@ -110,17 +115,24 @@ def _matrix_lines(m: BitMat) -> list[str]:
 
 def loads_points(text: str) -> list[BitVec]:
     cur = _Lines(text)
-    m = _read_matrix(cur)
+    rows, cols = _read_rows(cur)
     if not cur.done():
         raise ParseError("trailing content after matrix rows", cur.items[cur.pos][0])
-    return [m.row(i) for i in range(m.rows)]
+    return [BitVec(cols, r) for r in rows]
 
 
 def dumps_points(points: list[BitVec], header: Iterable[str] = ()) -> str:
+    """The points as the rows of a matrix block, written like ``_matrix_lines``."""
     if not points:
         raise InputError("refusing to write an empty point list")
-    m = BitMat.from_rows(points)
-    return _header(header) + "\n".join(_matrix_lines(m)) + "\n"
+    cols = points[0].n
+    for p in points:
+        if p.n != cols:
+            raise DimensionError(f"row of length {p.n}, expected {cols}")
+    if cols == 0:
+        raise InputError("zero-width rows cannot be written")
+    body = [f"{len(points)} {cols}"] + [p.to01() for p in points]
+    return _header(header) + "\n".join(body) + "\n"
 
 
 # -- problem instances ---------------------------------------------------

@@ -12,12 +12,15 @@ from math import comb
 import numpy as np
 
 from ._search import (
+    _BLOCK,
     DEFAULT_ENUM_CAP,
     FULL_ENUM_DIM,
     check_cap,
+    distinct_rows,
     lightest_by_join,
     lightest_by_scan,
     mitm_kernel_min_weight,
+    pattern_counts,
     search_work,
     span_min_weight,
 )
@@ -194,7 +197,12 @@ def best_parity_agreement(
     pv: PointValueSet, k: int, homogeneous_only: bool = False, cap: int = DEFAULT_ENUM_CAP
 ) -> tuple[ParityForm, Fraction]:
     """Exact max agreement over linear forms on <= k variables (empty support
-    included); with the constant term allowed unless homogeneous_only."""
+    included); with the constant term allowed unless homogeneous_only.
+
+    The form on S with constant 0 agrees with the pairs whose label is the
+    parity of their pattern on S, read from the label-split histograms
+    (``_search.pattern_counts``); constant 1 agrees with the rest. Ties go to
+    the first support in (weight, lex) order, then constant 0."""
     if not pv.points:
         raise InputError("empty point-value set")
     n = pv.dim
@@ -202,28 +210,28 @@ def best_parity_agreement(
     forms = sum(comb(n, w) for w in range(min(k, n) + 1))
     if forms * m > cap:
         raise ResourceError(f"{forms} forms x {m} pairs exceed cap {cap}")
-    pts = [(z.bits, b) for z, b in pv.pairs()]
-    best: tuple[Fraction, ParityForm] | None = None
+    words, counts, labels = distinct_rows([z.bits for z in pv.points], n, pv.values)
+    best, support, constant = -1, (), 0
     for w in range(min(k, n) + 1):
-        for sub in combinations(range(n), w):
-            mask = 0
-            for i in sub:
-                mask |= 1 << i
-            hits = sum(1 for z, b in pts if ((mask & z).bit_count() & 1) == b)
-            options = [(Fraction(hits, m), ParityForm(BitVec(n, mask), 0))]
-            if not homogeneous_only:
-                options.append((Fraction(m - hits, m), ParityForm(BitVec(n, mask), 1)))
-            for frac, form in options:
-                if best is None or frac > best[0]:
-                    best = (frac, form)
-    return best[1], best[0]
+        cells = np.arange(1 << w)
+        parity = np.bitwise_count(cells) & 1
+        for supports, hist in pattern_counts(words, counts, n, w, labels):
+            hits = hist[:, cells, parity].sum(axis=1)
+            # Support-major, constant-minor scores: argmax takes the first best.
+            scores = hits[:, None] if homogeneous_only else np.stack([hits, m - hits], axis=1)
+            i = int(scores.argmax())
+            if scores.flat[i] > best:
+                best = int(scores.flat[i])
+                support, constant = supports[i // scores.shape[1]], i % scores.shape[1]
+    return ParityForm(BitVec.from_support(n, map(int, support)), constant), Fraction(best, m)
 
 
 def best_junta_agreement(pv: PointValueSet, k: int, cap: int = DEFAULT_ENUM_CAP) -> Fraction:
     """Exact max agreement over all functions of <= k variables.
 
     Per support, the optimal junta answers the majority value on every
-    projected pattern, so the maximum is a counting problem.
+    projected pattern, so the maximum is a counting problem over the
+    label-split histograms of ``_search.pattern_counts``.
     """
     if not pv.points:
         raise InputError("empty point-value set")
@@ -232,20 +240,13 @@ def best_junta_agreement(pv: PointValueSet, k: int, cap: int = DEFAULT_ENUM_CAP)
     keff = min(k, n)
     if comb(n, keff) * (1 << keff) * m > cap:
         raise ResourceError("junta enumeration exceeds cap")
-    pts = [(z.bits, b) for z, b in pv.pairs()]
-    best = Fraction(0)
-    for sub in combinations(range(n), keff):
-        counts: dict[int, list[int]] = {}
-        for z, b in pts:
-            pattern = 0
-            for pos, i in enumerate(sub):
-                pattern |= ((z >> i) & 1) << pos
-            counts.setdefault(pattern, [0, 0])[b] += 1
-        agree = sum(max(c0, c1) for c0, c1 in counts.values())
-        best = max(best, Fraction(agree, m))
-        if best == 1:
+    words, counts, labels = distinct_rows([z.bits for z in pv.points], n, pv.values)
+    best = 0
+    for _, hist in pattern_counts(words, counts, n, keff, labels):
+        best = max(best, int(hist.max(axis=2).sum(axis=1).max()))
+        if best == m:
             break
-    return best
+    return Fraction(best, m)
 
 
 @dataclass(frozen=True)
@@ -269,12 +270,31 @@ class Poly:
         return not self.monomials and self.constant == 0
 
 
+def _zero_sets(monos: list[tuple[int, ...]], keff: int, lo: int, hi: int) -> np.ndarray:
+    """Row c - lo, for lo <= c < hi: 1 on the patterns p < 2^keff where the
+    polynomial with coefficient bits c vanishes. Bit 0 of c is the constant
+    term and bit b + 1 the monomial ``monos[b]``."""
+    patterns = np.arange(1 << keff)
+    terms = np.ones((len(monos) + 1, 1 << keff), dtype=np.int64)
+    for b, mono in enumerate(monos):
+        mask = sum(1 << i for i in mono)
+        terms[b + 1] = patterns & mask == mask
+    coeffs = (np.arange(lo, hi)[:, None] >> np.arange(len(monos) + 1)) & 1
+    return 1 - (coeffs @ terms & 1)
+
+
 def poly_agreement_bound(
     points: list[BitVec], k: int, d: int, cap: int = DEFAULT_ENUM_CAP
 ) -> tuple[Poly, Fraction]:
     """Largest advantage (fraction of points on which P vanishes, minus the
     exact uniform vanishing probability) over nonzero degree-<=d polynomials
-    on <= k variables."""
+    on <= k variables.
+
+    For each support S of min(k, n) variables the points vanishing on P
+    are one product of the pattern histogram (``_search.pattern_counts``)
+    with the zero sets of every polynomial; advantages are compared exactly
+    as zeros * 2^keff - m * |zero set|. Ties go to the first support in lex
+    order, then the lowest coefficient bits (constant term lowest)."""
     if not points:
         raise InputError("empty point set")
     n = points[0].n
@@ -283,49 +303,30 @@ def poly_agreement_bound(
     monos_per_support = sum(comb(keff, i) for i in range(1, d + 1))
     if comb(n, keff) * (1 << (monos_per_support + 1)) > cap:
         raise ResourceError("polynomial enumeration exceeds cap")
-    pts = np.array([p.bits for p in points], dtype=np.uint64)
-    best: tuple[Fraction, Poly] | None = None
-    size = 1 << keff
-    for sub in combinations(range(n), keff):
-        proj = np.zeros(len(pts), dtype=np.int64)
-        for pos, i in enumerate(sub):
-            proj |= ((pts >> np.uint64(i)) & np.uint64(1)).astype(np.int64) << pos
-        counts = np.bincount(proj, minlength=size)
-        monos = [mo for deg in range(1, d + 1) for mo in combinations(range(keff), deg)]
-        # Truth table of each monomial over the 2^keff patterns, packed in an int.
-        mono_tt = []
-        patterns = range(size)
-        for mo in monos:
-            mask = 0
-            for i in mo:
-                mask |= 1 << i
-            tt = 0
-            for p in patterns:
-                if p & mask == mask:
-                    tt |= 1 << p
-            mono_tt.append(tt)
-        full = (1 << size) - 1
-        for coeffs in range(1, 1 << (len(monos) + 1)):
-            tt = full if coeffs & 1 else 0  # low bit = constant term
-            c = coeffs >> 1
-            while c:
-                b = (c & -c).bit_length() - 1
-                tt ^= mono_tt[b]
-                c &= c - 1
-            zero_mask = ~tt & full
-            uniform_zero = Fraction(zero_mask.bit_count(), size)
-            point_zero_count = 0
-            zm = zero_mask
-            while zm:
-                p = (zm & -zm).bit_length() - 1
-                point_zero_count += int(counts[p])
-                zm &= zm - 1
-            advantage = Fraction(point_zero_count, m) - uniform_zero
-            if best is None or advantage > best[0]:
-                poly = Poly(
-                    n,
-                    tuple(tuple(sub[i] for i in monos[b]) for b in range((coeffs >> 1).bit_length()) if (coeffs >> 1) >> b & 1),
-                    coeffs & 1,
-                )
-                best = (advantage, poly)
-    return best[1], best[0]
+    monos = [mo for deg in range(1, d + 1) for mo in combinations(range(keff), deg)]
+    size, total = 1 << keff, 1 << (len(monos) + 1)
+    step = max(1, _BLOCK // size)  # polynomials per block of zero sets
+    ranges = [(lo, min(total, lo + step)) for lo in range(1, total, step)]
+    # The zero sets are built once when they fit one block, else per support block.
+    table = [(lo, _zero_sets(monos, keff, lo, hi)) for lo, hi in ranges] if len(ranges) == 1 else None
+    words, counts, _ = distinct_rows([p.bits for p in points], n)
+    best, support, coeffs = None, (), 0
+    for supports, hist in pattern_counts(words, counts, n, keff, width=min(step, total)):
+        top = np.full(len(supports), np.iinfo(np.int64).min)
+        arg = np.zeros(len(supports), dtype=np.int64)
+        for lo, zeros in table or ((lo, _zero_sets(monos, keff, lo, hi)) for lo, hi in ranges):
+            vanish = (hist.astype(np.float64) @ zeros.T.astype(np.float64)).astype(np.int64)
+            scores = vanish * size - m * zeros.sum(axis=1)
+            j = scores.argmax(axis=1)
+            row = scores[np.arange(len(supports)), j]
+            better = row > top
+            top[better], arg[better] = row[better], lo + j[better]
+        i = int(top.argmax())
+        if best is None or top[i] > best:
+            best, support, coeffs = int(top[i]), tuple(map(int, supports[i])), int(arg[i])
+    poly = Poly(
+        n,
+        tuple(tuple(support[i] for i in monos[b]) for b in range(len(monos)) if coeffs >> (b + 1) & 1),
+        coeffs & 1,
+    )
+    return poly, Fraction(best, m * size)

@@ -321,3 +321,15 @@ def test_cap_bounds_the_reported_work(case):
         assert _run_captured(argv + ["--cap", str(work)]) == (1, out, "")
         status, out, err = _run_captured(argv + ["--cap", str(work - 1)])
         assert (status, out) == (3, "") and f"exceeds cap {work - 1}" in err
+
+
+def test_parser_is_built_once_and_parses_alike_every_time():
+    from sparsef2 import cli
+
+    first = cli.parse_args(["verify", "poly", "--k", "2", "--override", "a=1", "--override", "b = 2"])
+    again = cli.parse_args(["verify", "poly", "--k", "3"])
+    assert cli._parser() is cli._parser()
+    assert (first.overrides, first.k, first.subcommand) == ({"a": "1", "b": "2"}, 2, "poly")
+    assert (again.overrides, again.override, again.k, again.seed, again.cap) == ({}, [], 3, 0, None)
+    assert vars(cli.build_parser().parse_args(["solve", "--alg", "mitm"])) == vars(cli._parser().parse_args(["solve", "--alg", "mitm"]))
+    assert main(["solve", "--alg", "nope"]) == 2 and main(["verify", "bias", "--k", "2"]) == 2

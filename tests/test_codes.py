@@ -275,3 +275,25 @@ def test_distribution_bias_balanced_image():
     b = mat_mul(code.generator, r)
     points = [b.row(i) for i in range(b.rows)]
     assert distribution_bias(points, 3) <= 2 * 0.1
+
+
+def test_balance_walks_the_span_only_for_tries_whose_pairs_pass(monkeypatch):
+    """Each generator column and each sum of two is checked on the drawn
+    rows first; only the tries that pass those checks walk the span."""
+    from sparsef2 import codes
+
+    walks = []
+    span_blocks = codes.span_blocks
+    monkeypatch.setattr(codes, "span_blocks", lambda *args: walks.append(args) or span_blocks(*args))
+    dim, eps, length = 4, 0.1, 14
+    code = balanced_code(dim, eps, 0, length)
+    lo, hi = (0.5 - eps) * length, (0.5 + eps) * length
+    rng, passing = random.Random(0), 0
+    while True:
+        gen = BitMat.from_bitrows([rng.getrandbits(dim) for _ in range(length)], dim)
+        cols = gen.col_bits()
+        words = cols + [a ^ b for a, b in combinations(cols, 2)]
+        passing += all(lo <= w.bit_count() <= hi for w in words)
+        if gen == code.generator:
+            break
+    assert len(walks) == passing == 5

@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sparsef2.codes import bch_parity_check, simplex_generator
-from sparsef2.errors import ParseError
+from sparsef2.errors import DimensionError, InputError, ParseError
 from sparsef2.f2 import BitMat, BitVec
 from sparsef2.formats import dumps, loads
 from sparsef2.graphs import Graph, random_graph
@@ -150,3 +150,24 @@ def test_malformed_rows_raise_parse_error(case, data):
         loads("\n".join(lines) + "\n", kind)
     except ParseError:
         pass
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.integers(0, 70).flatmap(lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=12))))
+def test_points_codec_matches_the_matrix_codec(case):
+    """Points are written and read as the rows of a matrix block, with the
+    same bytes and errors as a ``BitMat`` of those rows."""
+    n, rows = case
+    points = [BitVec(n, r) for r in rows]
+    if n == 0:
+        with pytest.raises(InputError, match="zero-width rows cannot be written"):
+            dumps(points, "points")
+        return
+    text = dumps(points, "points", ["a header"])
+    m = BitMat.from_rows(points)
+    assert text == "# a header\n" + "\n".join([f"{m.rows} {m.cols}"] + [m.row(i).to01() for i in range(m.rows)]) + "\n"
+    assert loads(text, "points") == points
+    with pytest.raises(DimensionError, match=f"row of length {n + 1}, expected {n}"):
+        dumps(points + [BitVec(n + 1, 0)], "points")
+    with pytest.raises(ParseError, match="line 3: expected"):
+        loads(text.replace(m.row(0).to01(), m.row(0).to01() + "0", 1), "points")
