@@ -23,8 +23,8 @@ from math import comb
 
 import numpy as np
 
-from .errors import ResourceError
-from .f2 import BitVec, pack_rows, unpack_rows
+from .errors import InputError, ResourceError
+from .f2 import BitMat, BitVec, pack_rows, unpack_rows
 
 DEFAULT_ENUM_CAP = 80_000_000
 # Kernels and codes of at most this dimension are enumerated in full.
@@ -289,6 +289,16 @@ def span_min_weight(basis: list[int], n: int, cap: int = DEFAULT_ENUM_CAP) -> tu
         if w == best:
             ties += unpack_rows(block[weights == w])
     return (best, min(ties, key=lambda bits: BitVec(n, bits).lex_key())) if ties else None
+
+
+def point_matrix(points: BitMat | list[BitVec]) -> BitMat:
+    """The points of an oracle as one ``BitMat``: a ``BitMat`` as it is, a
+    list of ``BitVec``s through ``BitMat.from_rows``. InputError if empty."""
+    if not isinstance(points, BitMat):
+        points = BitMat.from_rows(points) if points else BitMat.zeros(0, 0)
+    if not points.rows:
+        raise InputError("empty point set")
+    return points
 
 
 def distinct_rows(

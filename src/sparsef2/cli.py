@@ -19,7 +19,6 @@ from pathlib import Path
 from . import codes, formats, graphs, solvers
 from ._search import mitm_kernel_min_weight
 from .errors import GenerationError, InputError, ResourceError, SparseF2Error
-from .f2 import BitMat
 from .reductions import (
     EvenSetConfig,
     clique_to_vectorsum,
@@ -232,7 +231,7 @@ def _reduce(cfg: argparse.Namespace, report: Report) -> int:
             points, _require(cfg.deg, "--deg"), sample_count=_override_int(cfg, "samples"), seed=cfg.seed, **_cap(cfg)
         )
         _emit(cfg, out, "points")
-        report.add("points", len(out))
+        report.add("points", out.rows)
     elif sub == "evenset-fool":
         inst = _load(cfg, "evenset")
         out = evenset_to_fooling_points(
@@ -244,11 +243,11 @@ def _reduce(cfg: argparse.Namespace, report: Report) -> int:
             **_cap(cfg),
         )
         _emit(cfg, out, "points")
-        report.add("points", len(out))
+        report.add("points", out.rows)
     elif sub == "mdc-tensor":
         points = _load(cfg, "points")
-        out = mdc_tensor(BitMat.from_rows(points), _override_int(cfg, "power", 2), **_cap(cfg))
-        _emit(cfg, [out.row(i) for i in range(out.rows)], "points")
+        out = mdc_tensor(points, _override_int(cfg, "power", 2), **_cap(cfg))
+        _emit(cfg, out, "points")
         report.add("rows", out.rows).add("cols", out.cols)
     elif sub == "mdc-walk":
         points = _load(cfg, "points")
@@ -259,12 +258,12 @@ def _reduce(cfg: argparse.Namespace, report: Report) -> int:
         t = _require(cfg.walk_len, "--walk-len")
         samples = _override_int(cfg, "samples")
         walks = graphs.sample_walks(g, t, samples, cfg.seed) if samples else None
-        out = mdc_walk_amplify(BitMat.from_rows(points), g, t, walks=walks, **_cap(cfg))
-        _emit(cfg, [out.row(i) for i in range(out.rows)], "points")
+        out = mdc_walk_amplify(points, g, t, walks=walks, **_cap(cfg))
+        _emit(cfg, out, "points")
         report.add("rows", out.rows)
     elif sub == "mdc-learn":
         points = _load(cfg, "points")
-        out = mdc_to_learning(BitMat.from_rows(points), _require(cfg.deg, "--deg"), **_cap(cfg))
+        out = mdc_to_learning(points, _require(cfg.deg, "--deg"), **_cap(cfg))
         _emit(cfg, out, "pointvalues")
         report.add("pairs", len(out))
     else:  # pragma: no cover - argparse restricts choices

@@ -10,7 +10,15 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from ._search import DEFAULT_ENUM_CAP, FULL_ENUM_DIM, distinct_rows, pattern_counts, span_blocks, span_min_weight
+from ._search import (
+    DEFAULT_ENUM_CAP,
+    FULL_ENUM_DIM,
+    distinct_rows,
+    pattern_counts,
+    point_matrix,
+    span_blocks,
+    span_min_weight,
+)
 from ._search import mitm_kernel_min_weight as _mitm_kernel_min_weight
 from .errors import (
     DimensionError,
@@ -19,7 +27,7 @@ from .errors import (
     ResourceError,
     ValidationError,
 )
-from .f2 import BitMat, BitVec, mat_mul, nullspace_basis, rank, unpack_rows
+from .f2 import BitMat, BitVec, mat_mul, nullspace_basis, pack_rows, rank, unpack_rows
 
 # balanced_code certifies dimensions up to BALANCE_DIM_CAP, tries lengths up
 # to BALANCE_LENGTH_FACTOR * dim / eps^3, and draws BALANCE_TRIES generators
@@ -28,6 +36,9 @@ BALANCE_DIM_CAP = 20
 BALANCE_LENGTH_FACTOR = 4.0
 BALANCE_TRIES = 60
 BALANCE_TRIES_AT_LENGTH = 2000
+# balanced_code draws the rows of about _DRAW_BLOCK rows' worth of tries at
+# a time and checks all their column weights at once.
+_DRAW_BLOCK = 1024
 DEFAULT_DENSITY_CAP = 1 << 20
 
 # Primitive polynomials over GF(2), LSB-first bit encoding including the x^m term.
@@ -203,18 +214,16 @@ def simplex_generator(kdim: int) -> LinearCode:
     )
 
 
-def _certify_balance(rows: list[int], dim: int, eps: float) -> tuple[int, int] | None:
-    """Min/max nonzero-codeword weight of the generator with these rows if all
-    lie in [1/2-eps, 1/2+eps], else None."""
-    t = len(rows)
+def _certify_balance(bits: np.ndarray, eps: float) -> tuple[int, int] | None:
+    """Min/max nonzero-codeword weight of the generator whose rows are the
+    rows of the (t, dim) bit array if all lie in [1/2-eps, 1/2+eps], else
+    None. The weights of its columns are already known to lie there."""
+    t = len(bits)
     lo = (0.5 - eps) * t
     hi = (0.5 + eps) * t
-    # The generator columns and the sums of two of them are codewords:
-    # checking their weights on the drawn ints first rejects most random
-    # tries before the span is walked.
-    if not all(lo <= sum(r >> j & 1 for r in rows) <= hi for j in range(dim)):
-        return None
-    gcols = [sum((r >> j & 1) << i for i, r in enumerate(rows)) for j in range(dim)]
+    # The sums of two generator columns are codewords too: checking them
+    # first rejects most of the remaining tries before the span is walked.
+    gcols = unpack_rows(np.packbits(bits.T, axis=1, bitorder="little"))
     if not all(lo <= (a ^ b).bit_count() <= hi for a, b in combinations(gcols, 2)):
         return None
     wmin, wmax = t + 1, -1
@@ -259,19 +268,31 @@ def balanced_code(
                 break
             t = min(t_max, max(t + 1, int(t * 1.3)))
     for t in schedule:
-        for _ in range(tries):
-            rows = [rng.getrandbits(dim) for _ in range(t)]
-            cert = _certify_balance(rows, dim, eps)
-            if cert is None:
-                continue
-            wmin, wmax = cert
-            return LinearCode(
-                t,
-                dim,
-                generator=BitMat.from_bitrows(rows, dim),
-                dist_cert=DistanceCert(wmin, "exhaustive"),
-                bias_cert=BiasCert(eps, "exhaustive", wmin, wmax),
-            )
+        lo, hi = (0.5 - eps) * t, (0.5 + eps) * t
+        first = 0
+        while first < tries:
+            # The rows of `count` consecutive tries, drawn in the order the
+            # tries draw them; bits[c, i, j] is bit j of row i of try c, so
+            # column j of its generator is bits[c, :, j]. The batches double
+            # up to _DRAW_BLOCK rows, so an early success draws few extra.
+            count = min(max(1, first), max(1, _DRAW_BLOCK // t), tries - first)
+            first += count
+            drawn = [rng.getrandbits(dim) for _ in range(count * t)]
+            bits = np.unpackbits(pack_rows(drawn, dim).view(np.uint8), axis=1, count=dim, bitorder="little")
+            bits = bits.reshape(count, t, dim)
+            weights = bits.sum(axis=1)
+            for c in np.flatnonzero(((lo <= weights) & (weights <= hi)).all(axis=1)):
+                cert = _certify_balance(bits[c], eps)
+                if cert is None:
+                    continue
+                wmin, wmax = cert
+                return LinearCode(
+                    t,
+                    dim,
+                    generator=BitMat.from_bitrows(drawn[c * t : (c + 1) * t], dim),
+                    dist_cert=DistanceCert(wmin, "exhaustive"),
+                    bias_cert=BiasCert(eps, "exhaustive", wmin, wmax),
+                )
     raise GenerationError(
         f"no {eps}-balanced generator found for dim={dim} within length cap {t_max}; "
         f"use simplex_generator"
@@ -376,19 +397,18 @@ def product_density_check(
     return best_w >= math.ceil(1.5 * code.dist_cert.d**2), witness
 
 
-def distribution_bias(points: list[BitVec], support_cap: int, cap: int = DEFAULT_ENUM_CAP) -> float:
-    """Max over nonzero linear forms on <= support_cap variables of |avg (-1)^l(z)|.
+def distribution_bias(points: BitMat | list[BitVec], support_cap: int, cap: int = DEFAULT_ENUM_CAP) -> float:
+    """Max over nonzero linear forms on <= support_cap variables of |avg (-1)^l(z)|,
+    over the rows of ``points`` (or a list of ``BitVec``s).
 
     The sum of (-1)^l(z) for the form on S is the signed sum of the pattern
     histogram of S (``_search.pattern_counts``): +1 on even patterns, -1 on odd."""
-    if not points:
-        raise InputError("empty point set")
-    n = points[0].n
-    m = len(points)
+    points = point_matrix(points)
+    n, m = points.cols, points.rows
     num_forms = sum(math.comb(n, w) for w in range(1, min(support_cap, n) + 1))
     if num_forms * m > cap:
         raise ResourceError(f"{num_forms} forms x {m} points exceed cap {cap}")
-    words, counts, _ = distinct_rows([p.bits for p in points], n)
+    words, counts, _ = distinct_rows(points.row_bits, n)
     top = 0  # the largest |sum of (-1)^l(z)| so far; dividing by m keeps the order
     for w in range(1, min(support_cap, n) + 1):
         signs = 1 - 2 * (np.bitwise_count(np.arange(1 << w)) & 1).astype(np.int64)

@@ -138,9 +138,8 @@ class BitMat:
             raise ValidationError("negative dimension")
         if len(self.row_bits) != self.rows:
             raise ValidationError(f"expected {self.rows} rows, got {len(self.row_bits)}")
-        for r in self.row_bits:
-            if r < 0 or r >> self.cols:
-                raise ValidationError("row bits outside [0, cols) are not allowed")
+        if self.row_bits and (min(self.row_bits) < 0 or max(self.row_bits) >> self.cols):
+            raise ValidationError("row bits outside [0, cols) are not allowed")
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "BitMat":
@@ -249,15 +248,22 @@ def weight(x: BitVec) -> int:
 
 def pack_rows(row_ints: Sequence[int], cols: int) -> np.ndarray:
     """Read-only (rows, words) array of little-endian uint64 words, words =
-    max(1, ceil(cols / 64)): bit j of a row is bit j % 64 of its word j // 64."""
+    max(1, ceil(cols / 64)): bit j of a row is bit j % 64 of its word j // 64.
+    One-word rows are converted by one ``np.array`` call."""
     words = max(1, -(-cols // 64))
+    if words == 1:
+        out = np.array(row_ints, dtype="<u8").reshape(len(row_ints), 1)
+        out.flags.writeable = False
+        return out
     buf = b"".join(r.to_bytes(8 * words, "little") for r in row_ints)
     return np.frombuffer(buf, dtype="<u8").reshape(len(row_ints), words)
 
 
 def unpack_rows(words: np.ndarray) -> list[int]:
     """One int per row of a 2-D array of little-endian words (uint64 as from
-    ``pack_rows``, or bytes)."""
+    ``pack_rows``, or bytes); one-word rows by one ``tolist``."""
+    if words.shape[1] == 1:
+        return words[:, 0].tolist()
     buf = words.astype(words.dtype.newbyteorder("<"), copy=False).tobytes()
     size = words.shape[1] * words.itemsize
     return [int.from_bytes(buf[i : i + size], "little") for i in range(0, len(buf), size)]
@@ -296,20 +302,24 @@ def rank(m: BitMat) -> int:
 
 
 def nullspace_basis(m: BitMat) -> list[BitVec]:
-    """Basis of {x : Mx = 0}; one vector per free column, free columns ascending.
+    """Basis of {x : Mx = 0}; one vector per free column, free columns ascending."""
+    return [BitVec(m.cols, v) for v in kernel_rows(*rref(m))]
+
+
+def kernel_rows(pivots: tuple[int, ...], red: BitMat) -> list[int]:
+    """``nullspace_basis`` as ints, from the reduced form ``rref`` returned.
 
     The vector of free column f has bit f, and bit p_r for each pivot row r
     that holds f: one transpose of the reduced rows' bit matrix."""
-    pivots, red = rref(m)
-    free = np.delete(np.arange(m.cols), pivots)
+    free = np.delete(np.arange(red.cols), pivots)
     if not len(free):
         return []
-    rows = pack_rows(red.row_bits[: len(pivots)], m.cols).view(np.uint8)
+    rows = pack_rows(red.row_bits[: len(pivots)], red.cols).view(np.uint8)
     bits = np.unpackbits(rows, axis=1, bitorder="little")
-    out = np.zeros((len(free), m.cols), dtype=np.uint8)
+    out = np.zeros((len(free), red.cols), dtype=np.uint8)
     out[:, list(pivots)] = bits[:, free].T
     out[np.arange(len(free)), free] = 1
-    return [BitVec(m.cols, v) for v in unpack_rows(np.packbits(out, axis=1, bitorder="little"))]
+    return unpack_rows(np.packbits(out, axis=1, bitorder="little"))
 
 
 def gauss_solve(m: BitMat, b: BitVec) -> BitVec | None:

@@ -10,9 +10,11 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable
 
+import numpy as np
+
 from .codes import LinearCode
-from .errors import DimensionError, InputError, ParseError
-from .f2 import BitMat, BitVec
+from .errors import InputError, ParseError
+from .f2 import BitMat, BitVec, pack_rows, unpack_rows
 from .graphs import Graph
 from .instances import EvenSetInstance, PointValueSet, VectorSumInstance
 
@@ -20,25 +22,34 @@ KINDS = ("graph", "vectorsum", "evenset", "pointvalues", "points", "code")
 
 
 class _Lines:
-    """Significant-line cursor that remembers original line numbers."""
+    """Cursor over the significant lines of a text: blank lines and '#'
+    comments are skipped, and each line keeps its original number."""
 
     def __init__(self, text: str):
-        self.items = [
-            (i, line.strip())
-            for i, line in enumerate(text.splitlines(), start=1)
-            if line.strip() and not line.lstrip().startswith("#")
-        ]
-        self.pos = 0
+        self.lines = text.splitlines()
+        self.pos = 0  # index of the next line not yet read
+
+    def _peek(self) -> str | None:
+        """The next significant line, stripped (None at the end); the
+        lines skipped on the way are consumed."""
+        while self.pos < len(self.lines):
+            line = self.lines[self.pos].strip()
+            if line and line[0] != "#":
+                return line
+            self.pos += 1
+        return None
 
     def next(self, what: str) -> tuple[int, str]:
-        if self.pos >= len(self.items):
+        line = self._peek()
+        if line is None:
             raise ParseError(f"unexpected end of file, expected {what}")
-        item = self.items[self.pos]
         self.pos += 1
-        return item
+        return self.pos, line
 
-    def done(self) -> bool:
-        return self.pos >= len(self.items)
+    def end(self, what: str) -> None:
+        """ParseError unless every line left is blank or a comment."""
+        if self._peek() is not None:
+            raise ParseError(f"trailing content after {what}", self.pos + 1)
 
 
 def _ints(line: str, count: int, lineno: int, what: str) -> list[int]:
@@ -75,8 +86,7 @@ def loads_graph(text: str) -> Graph:
         if u == v or not (1 <= u <= n and 1 <= v <= n):
             raise ParseError(f"bad edge ({u}, {v}) for {n} vertices", lineno)
         edges.append((u, v))
-    if not cur.done():
-        raise ParseError(f"trailing content after {m} edges", cur.items[cur.pos][0])
+    cur.end(f"{m} edges")
     try:
         return Graph.from_edges(n, edges)
     except InputError as exc:
@@ -89,13 +99,45 @@ def dumps_graph(g: Graph, header: Iterable[str] = ()) -> str:
 
 
 # -- matrices ------------------------------------------------------------
+#
+# A matrix block is a 'rows cols' line and one line of cols '0'/'1'
+# characters per row, character j being bit j of the row. Points, vector-sum,
+# even-set and code files share it, and it is read and written in numpy: the
+# rows are packed into the little-endian words of ``f2.pack_rows``.
+
+def _block_rows(lines: list[str], cols: int) -> list[int] | None:
+    """The rows of a block as ints, or None unless every line is cols
+    '0'/'1' characters: the newline-joined lines are checked and packed as
+    one (rows, cols + 1) byte array. Any other character encodes to a byte
+    other than '0' and '1' (unencodable ones to '?')."""
+    if not lines:
+        return []
+    raw = np.frombuffer(("\n".join(lines) + "\n").encode(errors="replace"), dtype=np.uint8)
+    if raw.size != len(lines) * (cols + 1):
+        return None
+    raw = raw.reshape(len(lines), cols + 1)
+    bits = raw[:, :cols] ^ ord("0")
+    if not (raw[:, cols] == ord("\n")).all() or (bits > 1).any():
+        return None
+    packed = np.zeros((len(lines), 8 * max(1, -(-cols // 64))), dtype=np.uint8)
+    packed[:, : -(-cols // 8)] = np.packbits(bits, axis=1, bitorder="little")
+    return unpack_rows(packed.view("<u8"))
+
 
 def _read_rows(cur: _Lines) -> tuple[list[int], int]:
-    """The rows of a matrix block as ints, and its column count."""
+    """The rows of a matrix block as ints, and its column count. A block
+    written as the format defines it is its next ``rows`` lines as they
+    stand and is read in one numpy pass; any other text is read one row at
+    a time, which reports the first bad row before a missing one."""
     lineno, head = cur.next("matrix dimensions")
     rows, cols = _ints(head, 2, lineno, "matrix header")
     if rows < 0 or cols < 0:
         raise ParseError("negative matrix dimension", lineno)
+    lines = cur.lines[cur.pos : cur.pos + rows]
+    bits = _block_rows(lines, cols) if len(lines) == rows else None
+    if bits is not None:
+        cur.pos += rows
+        return bits, cols
     bits = []
     for _ in range(rows):
         lineno, line = cur.next("a matrix row")
@@ -107,32 +149,32 @@ def _read_matrix(cur: _Lines) -> BitMat:
     return BitMat.from_bitrows(*_read_rows(cur))
 
 
-def _matrix_lines(m: BitMat) -> list[str]:
+def _matrix_block(m: BitMat) -> str:
+    """The block of ``m``, every line ending in a newline: the rows' bits
+    are unpacked, shifted to '0'/'1' and given a newline column, then written
+    with one ``tobytes``."""
     if m.cols == 0 and m.rows > 0:
         raise InputError("zero-width rows cannot be written")
-    return [f"{m.rows} {m.cols}"] + [m.row(i).to01() for i in range(m.rows)]
+    bits = np.unpackbits(pack_rows(m.row_bits, m.cols).view(np.uint8), axis=1, count=m.cols, bitorder="little")
+    text = np.empty((m.rows, m.cols + 1), dtype=np.uint8)
+    np.add(bits, ord("0"), out=text[:, : m.cols])
+    text[:, m.cols] = ord("\n")
+    return f"{m.rows} {m.cols}\n" + text.tobytes().decode("ascii")
 
 
-def loads_points(text: str) -> list[BitVec]:
+def loads_points(text: str) -> BitMat:
+    """A points file: one point per row of its matrix block."""
     cur = _Lines(text)
     rows, cols = _read_rows(cur)
-    if not cur.done():
-        raise ParseError("trailing content after matrix rows", cur.items[cur.pos][0])
-    return [BitVec(cols, r) for r in rows]
+    cur.end("matrix rows")
+    return BitMat.from_bitrows(rows, cols)
 
 
-def dumps_points(points: list[BitVec], header: Iterable[str] = ()) -> str:
-    """The points as the rows of a matrix block, written like ``_matrix_lines``."""
-    if not points:
+def dumps_points(points: BitMat, header: Iterable[str] = ()) -> str:
+    """The points (the rows of ``points``) as a matrix block."""
+    if not points.rows:
         raise InputError("refusing to write an empty point list")
-    cols = points[0].n
-    for p in points:
-        if p.n != cols:
-            raise DimensionError(f"row of length {p.n}, expected {cols}")
-    if cols == 0:
-        raise InputError("zero-width rows cannot be written")
-    body = [f"{len(points)} {cols}"] + [p.to01() for p in points]
-    return _header(header) + "\n".join(body) + "\n"
+    return _header(header) + _matrix_block(points)
 
 
 # -- problem instances ---------------------------------------------------
@@ -150,14 +192,12 @@ def loads_vectorsum(text: str) -> VectorSumInstance:
     if len(parts) != 2 or parts[0] != "k":
         raise ParseError("expected 'k <int>'", lineno)
     k = _ints(parts[1], 1, lineno, "sparsity")[0]
-    if not cur.done():
-        raise ParseError("trailing content after 'k'", cur.items[cur.pos][0])
+    cur.end("'k'")
     return VectorSumInstance(m, b, k)
 
 
 def dumps_vectorsum(inst: VectorSumInstance, header: Iterable[str] = ()) -> str:
-    body = _matrix_lines(inst.m) + [f"b {inst.b.to01()}", f"k {inst.k}"]
-    return _header(header) + "\n".join(body) + "\n"
+    return _header(header) + _matrix_block(inst.m) + f"b {inst.b.to01()}\nk {inst.k}\n"
 
 
 def loads_evenset(text: str) -> EvenSetInstance:
@@ -168,14 +208,12 @@ def loads_evenset(text: str) -> EvenSetInstance:
     if len(parts) != 2 or parts[0] != "k":
         raise ParseError("expected 'k <int>'", lineno)
     k = _ints(parts[1], 1, lineno, "sparsity")[0]
-    if not cur.done():
-        raise ParseError("trailing content after 'k'", cur.items[cur.pos][0])
+    cur.end("'k'")
     return EvenSetInstance(m, k)
 
 
 def dumps_evenset(inst: EvenSetInstance, header: Iterable[str] = ()) -> str:
-    body = _matrix_lines(inst.m) + [f"k {inst.k}"]
-    return _header(header) + "\n".join(body) + "\n"
+    return _header(header) + _matrix_block(inst.m) + f"k {inst.k}\n"
 
 
 def loads_pointvalues(text: str) -> PointValueSet:
@@ -191,8 +229,7 @@ def loads_pointvalues(text: str) -> PointValueSet:
             raise ParseError(f"expected '<{n} bits> <bit>'", lineno)
         points.append(BitVec(n, _bits(parts[0], n, lineno)))
         values.append(_bits(parts[1], 1, lineno))
-    if not cur.done():
-        raise ParseError("trailing content after pairs", cur.items[cur.pos][0])
+    cur.end("pairs")
     return PointValueSet(tuple(points), tuple(values))
 
 
@@ -212,8 +249,7 @@ def loads_code(text: str) -> LinearCode:
     if side not in ("generator", "parity_check"):
         raise ParseError(f"unknown code side {side!r}", lineno)
     m = _read_matrix(cur)
-    if not cur.done():
-        raise ParseError("trailing content after matrix rows", cur.items[cur.pos][0])
+    cur.end("matrix rows")
     if side == "generator":
         return LinearCode.from_generator(m)
     return LinearCode.from_parity_check(m)
@@ -224,7 +260,7 @@ def dumps_code(code: LinearCode, header: Iterable[str] = ()) -> str:
         side, m = "generator", code.generator
     else:
         side, m = "parity_check", code.parity_check
-    return _header(header) + "\n".join([side] + _matrix_lines(m)) + "\n"
+    return _header(header) + f"{side}\n" + _matrix_block(m)
 
 
 # -- dispatch ------------------------------------------------------------

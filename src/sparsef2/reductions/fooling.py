@@ -8,54 +8,46 @@ with the bias amplified to 16 * eps^(1/2^(d-1)).
 from __future__ import annotations
 
 import random
-from itertools import product
+
+import numpy as np
 
 from ..codes import balanced_code
 from ..errors import DimensionError, InputError, ResourceError
-from ..f2 import BitMat, BitVec, mat_mul
+from ..f2 import BitMat, mat_mul, pack_rows, unpack_rows
 from ..instances import EvenSetInstance
 
 DEFAULT_SHIFT_CAP = 2_000_000
 
 
 def viola_shift(
-    points: list[BitVec],
+    points: BitMat,
     d: int,
     cap: int = DEFAULT_SHIFT_CAP,
     sample_count: int | None = None,
     seed: int = 0,
-) -> list[BitVec]:
-    """Coordinate-wise sums over all ordered d-tuples (a multiset of size m^d),
-    or a seeded uniform sample of them."""
+) -> BitMat:
+    """Coordinate-wise sums of the rows over all ordered d-tuples (a multiset
+    of size m^d, in ``itertools.product`` order), or a seeded uniform sample
+    of them: one XOR broadcast of the packed rows per added copy."""
     if d < 1:
         raise InputError(f"degree {d} must be >= 1")
-    if not points:
+    if not points.rows:
         raise InputError("empty point set")
-    n = points[0].n
-    if any(p.n != n for p in points):
-        raise DimensionError("points must all have the same length")
     if d == 1 and sample_count is None:
-        return list(points)
-    pts = [p.bits for p in points]
+        return points
+    words = pack_rows(points.row_bits, points.cols)
     if sample_count is not None:
         rng = random.Random(seed)
-        out = []
-        for _ in range(sample_count):
-            acc = 0
-            for _ in range(d):
-                acc ^= pts[rng.randrange(len(pts))]
-            out.append(BitVec(n, acc))
-        return out
-    total = len(points) ** d
-    if total > cap:
-        raise ResourceError(f"{total} ordered {d}-tuples exceed cap {cap}; pass sample_count")
-    out = []
-    for tup in product(pts, repeat=d):
-        acc = 0
-        for b in tup:
-            acc ^= b
-        out.append(BitVec(n, acc))
-    return out
+        picks = [rng.randrange(points.rows) for _ in range(sample_count * d)]
+        sums = np.bitwise_xor.reduce(words[np.array(picks, dtype=np.intp).reshape(-1, d)], axis=1)
+    else:
+        total = points.rows**d
+        if total > cap:
+            raise ResourceError(f"{total} ordered {d}-tuples exceed cap {cap}; pass sample_count")
+        sums = words
+        for _ in range(d - 1):  # the last copy varies fastest
+            sums = (sums[:, None] ^ words[None, :]).reshape(-1, words.shape[1])
+    return BitMat(len(sums), points.cols, tuple(unpack_rows(sums)))
 
 
 def fooling_points_with_generator(
@@ -65,13 +57,11 @@ def fooling_points_with_generator(
     cap: int = DEFAULT_SHIFT_CAP,
     sample_count: int | None = None,
     seed: int = 0,
-) -> list[BitVec]:
+) -> BitMat:
     """Rows of gen @ m, shifted to degree d."""
     if gen.cols != m.rows:
         raise DimensionError(f"generator has {gen.cols} columns, instance has {m.rows} rows")
-    image = mat_mul(gen, m)
-    rows = [image.row(i) for i in range(image.rows)]
-    return viola_shift(rows, d, cap=cap, sample_count=sample_count, seed=seed)
+    return viola_shift(mat_mul(gen, m), d, cap=cap, sample_count=sample_count, seed=seed)
 
 
 def evenset_to_fooling_points(
@@ -81,7 +71,7 @@ def evenset_to_fooling_points(
     seed: int,
     cap: int = DEFAULT_SHIFT_CAP,
     sample_count: int | None = None,
-) -> list[BitVec]:
+) -> BitMat:
     """Balanced-code image of the instance rows, shifted to degree d.
 
     Any parity vanishing on every row of the instance vanishes on every

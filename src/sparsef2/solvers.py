@@ -21,11 +21,12 @@ from ._search import (
     lightest_by_scan,
     mitm_kernel_min_weight,
     pattern_counts,
+    point_matrix,
     search_work,
     span_min_weight,
 )
 from .errors import InputError, ResourceError, ValidationError
-from .f2 import BitVec, nullspace_basis
+from .f2 import BitMat, BitVec, kernel_rows, rref
 from .instances import EvenSetInstance, PointValueSet, VectorSumInstance
 
 # solve_bfs gathers its table rows in blocks of 2^_BFS_BLOCK_BITS syndromes.
@@ -149,8 +150,9 @@ def evenset_min_weight(
     refused before it starts.
     """
     n = inst.m.cols
-    basis = [v.bits for v in nullspace_basis(inst.m)]
-    if len(basis) <= FULL_ENUM_DIM:
+    pivots, red = rref(inst.m)
+    if n - len(pivots) <= FULL_ENUM_DIM:  # the kernel dimension
+        basis = kernel_rows(pivots, red)
         found = span_min_weight(basis, n, cap)
         work = (1 << len(basis)) - 1
         if found is None:
@@ -284,21 +286,20 @@ def _zero_sets(monos: list[tuple[int, ...]], keff: int, lo: int, hi: int) -> np.
 
 
 def poly_agreement_bound(
-    points: list[BitVec], k: int, d: int, cap: int = DEFAULT_ENUM_CAP
+    points: BitMat | list[BitVec], k: int, d: int, cap: int = DEFAULT_ENUM_CAP
 ) -> tuple[Poly, Fraction]:
     """Largest advantage (fraction of points on which P vanishes, minus the
     exact uniform vanishing probability) over nonzero degree-<=d polynomials
-    on <= k variables.
+    on <= k variables; the points are the rows of ``points`` (or a list of
+    ``BitVec``s).
 
     For each support S of min(k, n) variables the points vanishing on P
     are one product of the pattern histogram (``_search.pattern_counts``)
     with the zero sets of every polynomial; advantages are compared exactly
     as zeros * 2^keff - m * |zero set|. Ties go to the first support in lex
     order, then the lowest coefficient bits (constant term lowest)."""
-    if not points:
-        raise InputError("empty point set")
-    n = points[0].n
-    m = len(points)
+    points = point_matrix(points)
+    n, m = points.cols, points.rows
     keff = min(k, n)
     monos_per_support = sum(comb(keff, i) for i in range(1, d + 1))
     if comb(n, keff) * (1 << (monos_per_support + 1)) > cap:
@@ -309,7 +310,7 @@ def poly_agreement_bound(
     ranges = [(lo, min(total, lo + step)) for lo in range(1, total, step)]
     # The zero sets are built once when they fit one block, else per support block.
     table = [(lo, _zero_sets(monos, keff, lo, hi)) for lo, hi in ranges] if len(ranges) == 1 else None
-    words, counts, _ = distinct_rows([p.bits for p in points], n)
+    words, counts, _ = distinct_rows(points.row_bits, n)
     best, support, coeffs = None, (), 0
     for supports, hist in pattern_counts(words, counts, n, keff, width=min(step, total)):
         top = np.full(len(supports), np.iinfo(np.int64).min)

@@ -369,7 +369,7 @@ def test_c12_viola_bound():
         eps = distribution_bias(points, 3)
         assert eps <= 0.05
         shifted = viola_shift(points, 2, cap=70_000)
-        assert len(shifted) == len(points) ** 2
+        assert shifted.rows == points.rows**2
         _, advantage = poly_agreement_bound(shifted, 3, 2)
         assert advantage <= 16 * math.sqrt(eps)
 
@@ -445,7 +445,7 @@ def _random_object(kind, rng):
         )
     if kind == "points":
         n = rng.randrange(1, 10)
-        return [BitVec(n, rng.getrandbits(n)) for _ in range(rng.randrange(1, 14))]
+        return BitMat.from_bitrows([rng.getrandbits(n) for _ in range(rng.randrange(1, 14))], n)
     side = rng.choice(["generator", "parity"])
     if side == "generator":
         while True:

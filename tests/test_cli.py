@@ -159,8 +159,7 @@ def test_verify_roundtrip_and_bias(tmp_path):
     assert run_cli("verify", "roundtrip", "--in", str(gpath), "--kind", "graph") == 0
 
     ppath = tmp_path / "pts.txt"
-    points = [BitVec(3, v) for v in range(8)]
-    write_instance(ppath, points, "points")
+    write_instance(ppath, BitMat.from_bitrows(range(8), 3), "points")
     assert run_cli("verify", "bias", "--in", str(ppath), "--k", "3", "--eps", "0.01") == 0
 
 
@@ -210,17 +209,17 @@ def test_verify_junta_and_poly(tmp_path):
     # XOR is realized by a 2-junta but no 1-junta beats a coin flip.
     assert run_cli("verify", "junta", "--in", str(pv_path), "--k", "2", "--delta", "0.1") == 0
     assert run_cli("verify", "junta", "--in", str(pv_path), "--k", "1", "--delta", "0.1") == 0
-    write_instance(ppath, [BitVec(3, v) for v in range(8)], "points")
+    write_instance(ppath, BitMat.from_bitrows(range(8), 3), "points")
     assert run_cli("verify", "poly", "--in", str(ppath), "--k", "3", "--deg", "2", "--delta", "0.0") == 0
 
 
 def test_viola_cli_roundtrip(tmp_path):
     pts = tmp_path / "p.txt"
     out = tmp_path / "shift.txt"
-    write_instance(pts, [BitVec.from01("10"), BitVec.from01("01")], "points")
+    write_instance(pts, BitMat.from_rows(["10", "01"]), "points")
     assert run_cli("reduce", "viola", "--in", str(pts), "--deg", "2", "--out", str(out)) == 0
     shifted = parse_instance(out, "points")
-    assert sorted(v.to01() for v in shifted) == ["00", "00", "11", "11"]
+    assert sorted(shifted.row(i).to01() for i in range(shifted.rows)) == ["00", "00", "11", "11"]
 
 
 def test_mdc_cli_pipeline(tmp_path):
@@ -230,11 +229,11 @@ def test_mdc_cli_pipeline(tmp_path):
     amplified = tmp_path / "amp.txt"
     learn = tmp_path / "learn.pv"
     gpath = tmp_path / "exp.graph"
-    write_instance(base, [BitVec(3, rng.getrandbits(3) | 1) for _ in range(6)], "points")
+    write_instance(base, BitMat.from_bitrows([rng.getrandbits(3) | 1 for _ in range(6)], 3), "points")
     assert run_cli("reduce", "mdc-tensor", "--in", str(base), "--out", str(squared),
                    "--override", "power=2") == 0
     rows = parse_instance(squared, "points")
-    assert len(rows) == 36 and rows[0].n == 9
+    assert rows.rows == 36 and rows.cols == 9
 
     from sparsef2.graphs import random_regular
 
@@ -243,12 +242,12 @@ def test_mdc_cli_pipeline(tmp_path):
     assert run_cli("reduce", "mdc-walk", "--in", str(squared), "--out", str(amplified),
                    "--override", f"graph={gpath}", "--walk-len", "2", "--seed", "4") == 0
     amplified_rows = parse_instance(amplified, "points")
-    assert len(amplified_rows) == 36 * 4 * 4  # walks times sign patterns
+    assert amplified_rows.rows == 36 * 4 * 4  # walks times sign patterns
 
     assert run_cli("reduce", "mdc-learn", "--in", str(amplified), "--deg", "1",
                    "--out", str(learn)) == 0
     pv = parse_instance(learn, "pointvalues")
-    assert len(pv) == len(amplified_rows) and pv.dim == 8
+    assert len(pv) == amplified_rows.rows and pv.dim == 8
 
 
 def _join_work(n, max_weight):

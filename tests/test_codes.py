@@ -297,3 +297,55 @@ def test_balance_walks_the_span_only_for_tries_whose_pairs_pass(monkeypatch):
         if gen == code.generator:
             break
     assert len(walks) == passing == 5
+
+
+def oracle_balanced_rows(dim, eps, seed, schedule, tries):
+    """The rows of the first try whose every nonzero codeword is balanced,
+    the tries drawn one at a time (t rows of ``getrandbits(dim)`` each,
+    ``tries`` per length t of ``schedule``) and their columns read one bit
+    at a time; None if no try passes."""
+    rng = random.Random(seed)
+    for t in schedule:
+        lo, hi = (0.5 - eps) * t, (0.5 + eps) * t
+        for _ in range(tries):
+            rows = [rng.getrandbits(dim) for _ in range(t)]
+            cols = [sum((r >> j & 1) << i for i, r in enumerate(rows)) for j in range(dim)]
+            weights = []
+            for msg in range(1, 1 << dim):
+                word = 0
+                for j in range(dim):
+                    if msg >> j & 1:
+                        word ^= cols[j]
+                weights.append(word.bit_count())
+            if lo <= min(weights) and max(weights) <= hi:
+                return rows
+    return None
+
+
+@pytest.mark.parametrize(
+    "dim, eps, length, tries",
+    [(4, 0.1, 14, 2000), (3, 0.2, 9, 2000), (8, 0.2, 78, 2000), (2, 0.05, 6, 2000), (4, 0.1, None, 7), (8, 0.2, None, 60)],
+)
+def test_balanced_code_accepts_the_first_passing_try(monkeypatch, dim, eps, length, tries):
+    """Batched draws and column checks accept the same try as a loop over
+    single tries, at a given length (2000 tries, some seeds exhausting them)
+    and along the length schedule (tries per length cut to 7 to cross it)."""
+    from sparsef2 import codes
+
+    monkeypatch.setattr(codes, "BALANCE_TRIES", tries)
+    if length is None:
+        t_max = math.ceil(codes.BALANCE_LENGTH_FACTOR * dim / eps**3)
+        t = min(t_max, max(dim, math.ceil(math.log(2 ** (dim + 1)) / (2 * eps * eps))))
+        schedule = [t]
+        while t < t_max:
+            t = min(t_max, max(t + 1, int(t * 1.3)))
+            schedule.append(t)
+    else:
+        schedule = [length]
+    for seed in range(6):
+        want = oracle_balanced_rows(dim, eps, seed, schedule, tries)
+        try:
+            got = balanced_code(dim, eps, seed, length).generator.row_bits
+        except GenerationError:
+            got = None
+        assert got == (None if want is None else tuple(want))

@@ -1,42 +1,85 @@
 """Degree-d fooling points: shift semantics and the amplified bias contract."""
 
+import random
 from collections import Counter
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsef2.codes import bch_parity_check, distribution_bias
 from sparsef2.errors import ResourceError
-from sparsef2.f2 import BitMat, BitVec
+from sparsef2.f2 import BitMat
 from sparsef2.instances import EvenSetInstance
 from sparsef2.reductions import evenset_to_fooling_points, fooling_points_with_generator, viola_shift
 from sparsef2.solvers import poly_agreement_bound
 
 
 def test_viola_shift_degree_one_is_identity():
-    points = [BitVec.from01("10"), BitVec.from01("01")]
+    points = BitMat.from_rows(["10", "01"])
     assert viola_shift(points, 1) == points
 
 
 def test_viola_shift_ordered_pairs_multiset():
-    e1, e2 = BitVec.from01("10"), BitVec.from01("01")
-    shifted = viola_shift([e1, e2], 2)
-    counts = Counter(v.to01() for v in shifted)
+    shifted = viola_shift(BitMat.from_rows(["10", "01"]), 2)
+    counts = Counter(shifted.row(i).to01() for i in range(shifted.rows))
     assert counts == {"00": 2, "11": 2}
 
 
 def test_viola_shift_cap_and_sampling():
-    points = [BitVec(4, v) for v in range(10)]
+    points = BitMat.from_bitrows(range(10), 4)
     with pytest.raises(ResourceError):
         viola_shift(points, 3, cap=100)
     sample = viola_shift(points, 3, sample_count=64, seed=5)
-    assert len(sample) == 64
+    assert sample.rows == 64
     assert sample == viola_shift(points, 3, sample_count=64, seed=5)
+
+
+def oracle_shift(rows, d, sample_count=None, seed=0):
+    """The shifted rows as ints, summed one tuple at a time: all ordered
+    d-tuples in ``itertools.product`` order, or ``sample_count`` tuples of
+    ``random.Random(seed).randrange`` draws, d per tuple."""
+    if sample_count is None:
+        tuples = product(rows, repeat=d)
+    else:
+        rng = random.Random(seed)
+        tuples = ([rows[rng.randrange(len(rows))] for _ in range(d)] for _ in range(sample_count))
+    out = []
+    for tup in tuples:
+        acc = 0
+        for r in tup:
+            acc ^= r
+        out.append(acc)
+    return out
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    st.sampled_from([1, 5, 63, 64, 65, 130]).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=9))
+    ),
+    st.integers(1, 3),
+    st.one_of(st.none(), st.integers(0, 40)),
+    st.integers(0, 10**6),
+)
+def test_viola_shift_matches_the_tuple_loop(case, d, sample_count, seed):
+    n, rows = case
+    shifted = viola_shift(BitMat.from_bitrows(rows, n), d, sample_count=sample_count, seed=seed)
+    assert shifted == BitMat.from_bitrows(oracle_shift(rows, d, sample_count, seed), n)
+
+
+def test_viola_shift_checks_the_cap_before_the_broadcast():
+    points = BitMat.from_bitrows(range(10), 4)
+    assert viola_shift(points, 3, cap=1000).rows == 1000
+    with pytest.raises(ResourceError, match="1000 ordered 3-tuples exceed cap 999"):
+        viola_shift(points, 3, cap=999)
 
 
 def test_identity_generator_gives_instance_rows():
     m = bch_parity_check(9, 3)
     points = fooling_points_with_generator(m, BitMat.identity(m.rows), 1)
-    assert points == [m.row(i) for i in range(m.rows)]
+    assert points == m
 
 
 def test_kernel_parity_vanishes_on_all_points():
@@ -49,7 +92,7 @@ def test_kernel_parity_vanishes_on_all_points():
     kernel = nullspace_basis(m)
     assert kernel
     for vec in kernel[:3]:
-        assert all(vec.dot(z) == 0 for z in points)
+        assert all(vec.dot(points.row(i)) == 0 for i in range(points.rows))
 
 
 def test_bias_contract_after_shift():

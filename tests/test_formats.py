@@ -69,7 +69,7 @@ def test_roundtrip_random(kind):
             )
         elif kind == "points":
             n = rng.randrange(1, 9)
-            obj = [BitVec(n, rng.getrandbits(n)) for _ in range(rng.randrange(1, 12))]
+            obj = BitMat.from_bitrows([rng.getrandbits(n) for _ in range(rng.randrange(1, 12))], n)
         else:
             obj = rng.choice(
                 [
@@ -114,7 +114,7 @@ def written_files(draw):
     if kind == "evenset":
         return kind, EvenSetInstance(m, k), matrix + f"k {k}\n"
     if kind == "points":
-        return kind, [m.row(i) for i in range(rows)], matrix
+        return kind, m, matrix
     values = [draw(st.integers(0, 1)) for _ in range(rows)]
     pv = PointValueSet(tuple(m.row(i) for i in range(rows)), tuple(values))
     return kind, pv, f"{rows} {cols}\n" + "".join(f"{_row01(r, cols)} {v}\n" for r, v in zip(bits, values))
@@ -156,18 +156,120 @@ def test_malformed_rows_raise_parse_error(case, data):
 @given(st.integers(0, 70).flatmap(lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=12))))
 def test_points_codec_matches_the_matrix_codec(case):
     """Points are written and read as the rows of a matrix block, with the
-    same bytes and errors as a ``BitMat`` of those rows."""
+    same bytes and errors as the block of an even-set instance."""
     n, rows = case
-    points = [BitVec(n, r) for r in rows]
+    points = BitMat.from_bitrows(rows, n)
     if n == 0:
         with pytest.raises(InputError, match="zero-width rows cannot be written"):
             dumps(points, "points")
         return
     text = dumps(points, "points", ["a header"])
-    m = BitMat.from_rows(points)
-    assert text == "# a header\n" + "\n".join([f"{m.rows} {m.cols}"] + [m.row(i).to01() for i in range(m.rows)]) + "\n"
+    assert text == "# a header\n" + "\n".join([f"{len(rows)} {n}"] + [points.row(i).to01() for i in range(len(rows))]) + "\n"
+    assert text + "k 1\n" == dumps(EvenSetInstance(points, 1), "evenset", ["a header"])
     assert loads(text, "points") == points
+    # A ragged list of points is refused where it becomes a BitMat.
     with pytest.raises(DimensionError, match=f"row of length {n + 1}, expected {n}"):
-        dumps(points + [BitVec(n + 1, 0)], "points")
+        BitMat.from_rows([points.row(i) for i in range(len(rows))] + [BitVec(n + 1, 0)])
+    lines = text.splitlines()
+    lines[2] += "0"  # the first row, after the comment and the 'rows cols' line
     with pytest.raises(ParseError, match="line 3: expected"):
-        loads(text.replace(m.row(0).to01(), m.row(0).to01() + "0", 1), "points")
+        loads("\n".join(lines) + "\n", "points")
+
+
+# -- the numpy block codec against the per-row codec ---------------------------------
+
+def oracle_block(text):
+    """A points file read one row at a time, as the per-row codec did: each
+    row checked with ``len`` and ``strip("01")`` and converted by a reversed
+    ``int``; (rows, cols) or the ParseError that codec raised."""
+    lines = [(i, line.strip()) for i, line in enumerate(text.splitlines(), 1)]
+    lines = [(i, line) for i, line in lines if line and not line.startswith("#")]
+    if not lines:
+        raise ParseError("unexpected end of file, expected matrix dimensions")
+    lineno, head = lines[0]
+    rows, cols = map(int, head.split())
+    out = []
+    for r in range(rows):
+        if r + 1 >= len(lines):
+            raise ParseError("unexpected end of file, expected a matrix row")
+        lineno, token = lines[r + 1]
+        if len(token) != cols or token.strip("01"):
+            raise ParseError(f"expected {cols} bits, got {token!r}", lineno)
+        out.append(int(token[::-1], 2) if cols else 0)
+    if len(lines) > rows + 1:
+        raise ParseError("trailing content after matrix rows", lines[rows + 1][0])
+    return out, cols
+
+
+def oracle_dump(rows, cols):
+    """A points file written one ``BitVec.to01`` per row."""
+    return "\n".join([f"{len(rows)} {cols}"] + [BitVec(cols, r).to01() for r in rows]) + "\n"
+
+
+WIDTHS = [1, 63, 64, 65, 128, 130]
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.sampled_from(WIDTHS).flatmap(lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=20))))
+def test_block_codec_matches_the_per_row_codec(case):
+    n, rows = case
+    points = BitMat.from_bitrows(rows, n)
+    text = oracle_dump(rows, n)
+    if rows:
+        assert dumps(points, "points") == text
+        assert dumps(EvenSetInstance(points, 2), "evenset") == text + "k 2\n"
+    else:
+        with pytest.raises(InputError, match="refusing to write an empty point list"):
+            dumps(points, "points")
+    assert loads(text, "points") == BitMat.from_bitrows(oracle_block(text)[0], n)
+    assert loads(text + "k 2\n", "evenset").m == points
+
+
+def test_blocks_with_comments_blank_lines_and_spaces_are_read_row_by_row():
+    rows = [5, 0, 7, 2]
+    lines = oracle_dump(rows, 3).splitlines()
+    lines[4] = " " + lines[4] + "\t"
+    lines[2:2] = ["# a comment inside the block", ""]
+    text = "\n".join(lines) + "\n"
+    assert oracle_block(text) == (rows, 3)
+    assert loads(text, "points") == BitMat.from_bitrows(rows, 3)
+
+
+def _same_error(text):
+    with pytest.raises(ParseError) as want:
+        oracle_block(text)
+    with pytest.raises(ParseError) as got:
+        loads(text, "points")
+    assert (str(got.value), got.value.line) == (str(want.value), want.value.line)
+
+
+@pytest.mark.parametrize("n", WIDTHS)
+@pytest.mark.parametrize(
+    "fault",
+    ["short", "long", "two", "non-ascii", "surrogate", "inner-space", "missing", "bad-then-missing", "trailing"],
+)
+def test_malformed_blocks_raise_the_per_row_codec_errors(n, fault):
+    rng = random.Random(n)
+    rows = [rng.getrandbits(n) for _ in range(5)]
+    lines = ["# header", *oracle_dump(rows, n).splitlines()]
+    row = lines[3]  # the third row of the block
+    if fault == "short":
+        lines[3] = row[:-1]
+    elif fault == "long":
+        lines[3] = row + "1"
+    elif fault == "two":
+        lines[3] = row[:-1] + "2"
+    elif fault == "non-ascii":
+        lines[3] = row[:-1] + "\uff11"
+    elif fault == "surrogate":
+        lines[3] = row[:-1] + "\ud800"
+    elif fault == "inner-space":
+        lines[3] = row[:1] + " " + row[1:] if n > 1 else "0 1"
+    elif fault == "missing":
+        del lines[-1]
+    elif fault == "bad-then-missing":
+        lines[3] = row[:-1] + "2"
+        del lines[-1]
+    else:
+        lines.append(row)
+    _same_error("\n".join(lines) + "\n")

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from sparsef2 import _search, codes, solvers
 from sparsef2.codes import distribution_bias
 from sparsef2.errors import ResourceError
-from sparsef2.f2 import BitVec
+from sparsef2.f2 import BitMat, BitVec
 from sparsef2.instances import PointValueSet
 from sparsef2.solvers import ParityForm, Poly, best_junta_agreement, best_parity_agreement, poly_agreement_bound
 
@@ -124,11 +124,13 @@ def assert_oracles_match(n, k, points, labels, degrees=(1, 2)):
     for homogeneous_only in (False, True):
         assert best_parity_agreement(pv, k, homogeneous_only) == oracle_parity(pv, k, homogeneous_only)
     assert best_junta_agreement(pv, k) == oracle_junta(pv, k)
-    assert distribution_bias(vecs, k) == oracle_bias(vecs, k)
+    # The point oracles take a BitMat, or a list of BitVecs converted at entry.
+    mat = BitMat.from_bitrows(points, n)
+    assert distribution_bias(vecs, k) == distribution_bias(mat, k) == oracle_bias(vecs, k)
     for d in degrees:
         # The Python loop walks 2^(monomials + 1) polynomials per support.
         if sum(comb(min(k, n), i) for i in range(1, d + 1)) <= 7:
-            assert poly_agreement_bound(vecs, k, d) == oracle_poly(vecs, k, d)
+            assert poly_agreement_bound(vecs, k, d) == poly_agreement_bound(mat, k, d) == oracle_poly(vecs, k, d)
 
 
 @settings(max_examples=120, deadline=None, database=None)
